@@ -27,15 +27,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .errors import CertificateError
 from .gfseries import expand_rational, rational_gf, RationalFunction
 from .powersum import falling_factorial, Polynomial
-from .recurrence import (
-    hankel_nonsingular_witness,
-    LinearRecurrence,
-    normalize_coprime,
-)
-from .seqcore import catalan_closed, catalan_is_odd, Sequence
+from .recurrence import LinearRecurrence, normalize_coprime
+from .seqcore import catalan_closed, catalan_is_odd
 
 SCHEMA_TAG = "cfinite-cert/1"
 
@@ -224,10 +221,12 @@ def refute_by_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
         p = p + summand_polynomial(k, j) * a
     value = p(-k)
     expected = polynomial_certificate_value(k)
-    assert value == expected, f"p(-{k}) = {value}, closed form {expected}"
+    if value != expected:
+        raise CertificateError(f"p(-{k}) = {value}, closed form {expected}")
     witness = next(n for n in range(1, 3 * k + 2) if p(n) != 0)
     residual = candidate_residual(coefficients, witness)
-    assert residual != 0, "nonzero p(n*) forces a nonzero residual"
+    if residual == 0:
+        raise CertificateError("nonzero p(n*) forces a nonzero residual")
     cert = PolynomialCertificate(k, coefficients, p, Fraction(value), witness, residual)
     validate_polynomial(cert)
     return cert
@@ -268,40 +267,66 @@ def validate_polynomial(cert: PolynomialCertificate) -> None:
         raise CertificateError("polynomial value and residual disagree at the witness")
 
 
-def _catalan_sequence(count: int) -> Sequence:
-    return Sequence("catalan", tuple(catalan_closed(n) for n in range(1, count + 1)))
+def _catalan_hankel_minors(offset: int, order_bound: int) -> list:
+    """Order-k Catalan window determinants at `offset` for every k <= bound.
+
+    The order-k window matrix (C_{offset+i+j}), i, j = 0..k, is the leading
+    block of the order-bound one, so one fraction-free pass over the terms
+    C_offset..C_{offset+2*bound} gives entry k for every k; the list stops
+    at the first zero minor (see linalg.leading_principal_minors).
+    """
+    terms = [catalan_closed(n) for n in range(offset, offset + 2 * order_bound + 1)]
+    rows = [terms[i : i + order_bound + 1] for i in range(order_bound + 1)]
+    return linalg.leading_principal_minors(rows)
 
 
 def refute_by_hankel(order_bound: int) -> HankelCertificate:
     """Nonzero exact Catalan window determinants for every order <= bound."""
     if order_bound < 0:
         raise ValueError(f"need order bound >= 0, got {order_bound}")
-    seq = _catalan_sequence(2 * order_bound + 1)
-    witnesses = []
-    for k in range(order_bound + 1):
-        det = hankel_nonsingular_witness(seq, k, 1)
-        if det == 0:
-            raise CertificateError(f"unexpected singular Catalan window at order {k}")
-        witnesses.append((k, 1, int(det)))
-    cert = HankelCertificate(order_bound, tuple(witnesses))
+    minors = _catalan_hankel_minors(1, order_bound)
+    if minors[-1] == 0:
+        raise CertificateError(
+            f"unexpected singular Catalan window at order {len(minors) - 1}"
+        )
+    cert = HankelCertificate(
+        order_bound, tuple((k, 1, det) for k, det in enumerate(minors))
+    )
     validate_hankel(cert)
     return cert
 
 
 def validate_hankel(cert: HankelCertificate) -> None:
-    """Recheck every determinant from exact Catalan windows."""
+    """Recheck every determinant from exact Catalan windows.
+
+    Witnesses sharing an offset are recomputed together, from one pass at
+    the largest order that uses the offset.  Catalan Hankel minors are
+    positive at every offset (Aigner, JCTA 87, 1999), so no genuine
+    certificate needs a witness at or past a zero minor; such a witness is
+    rejected.
+    """
     orders = [w[0] for w in cert.witnesses]
     if orders != list(range(cert.order_bound + 1)):
         raise CertificateError(
             f"witnesses must cover orders 0..{cert.order_bound}, found {orders}"
         )
+    largest = {}
+    for k, offset, _ in cert.witnesses:
+        largest[offset] = max(largest.get(offset, k), k)
+    minors = {}
     for k, offset, det in cert.witnesses:
         if offset < 1:
             raise CertificateError(f"offset {offset} must be >= 1")
         if det == 0:
             raise CertificateError(f"zero determinant certifies nothing at order {k}")
-        seq = _catalan_sequence(offset + 2 * k)
-        recomputed = hankel_nonsingular_witness(seq, k, offset)
+        if offset not in minors:
+            minors[offset] = _catalan_hankel_minors(offset, largest[offset])
+        if k >= len(minors[offset]):
+            raise CertificateError(
+                f"order {k}: the order-{len(minors[offset]) - 1} window at offset "
+                f"{offset} is already singular"
+            )
+        recomputed = minors[offset][k]
         if recomputed != det:
             raise CertificateError(
                 f"order {k}: stored determinant {det} != recomputed {recomputed}"
@@ -313,30 +338,31 @@ def refute_by_gf(candidate: LinearRecurrence) -> GfMismatchCertificate:
 
     The candidate together with the initial terms C_1..C_k forces a
     rational generating function; its expansion must leave the Catalan
-    series by index 2k + 1 because the order-k Catalan windows are
-    linearly independent, but the scan depth doubles defensively anyway.
+    series by index 2k + 1, because a series matching C_1..C_{2k+1} would
+    make the order-k Catalan window matrix at offset 1 singular, and its
+    determinant is nonzero (see refute_by_hankel).
     """
     _candidate_rational(candidate)
     k = candidate.order
     initial = tuple(catalan_closed(n) for n in range(1, k + 1))
     rf = rational_gf(candidate, initial)
-    depth = max(3 * k + 10, 20)
-    for _ in range(10):
-        expansion = expand_rational(rf, depth)
-        for n in range(depth + 1):
-            catalan = 0 if n == 0 else catalan_closed(n)
-            if expansion.coefficient(n) != catalan:
-                cert = GfMismatchCertificate(
-                    rf.numerator, rf.denominator, n, expansion.coefficient(n), catalan
-                )
-                validate_gf(cert)
-                return cert
-        depth *= 2
-    raise CertificateError("no mismatch found; expansion scan exhausted")
+    depth = 2 * k + 1
+    expansion = expand_rational(rf, depth)
+    for n in range(depth + 1):
+        catalan = 0 if n == 0 else catalan_closed(n)
+        if expansion.coefficient(n) != catalan:
+            cert = GfMismatchCertificate(
+                rf.numerator, rf.denominator, n, expansion.coefficient(n), catalan
+            )
+            validate_gf(cert)
+            return cert
+    raise CertificateError(f"no mismatch up to the proven bound 2k + 1 = {depth}")
 
 
 def validate_gf(cert: GfMismatchCertificate) -> None:
     """Recheck the mismatching coefficient from the stored p/q."""
+    if cert.denominator(0) == 0:
+        raise CertificateError("denominator must be nonzero at 0")
     rf = RationalFunction(cert.numerator, cert.denominator)
     n = cert.mismatch_index
     if n < 0:
@@ -479,7 +505,7 @@ def certificate_from_fields(fields: dict):
                 Fraction(fields["series_value"]),
                 int(fields["catalan_value"]),
             )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise CertificateError(f"malformed certificate fields: {exc}") from exc
     raise CertificateError(f"unknown certificate kind {fields.get('kind')!r}")
 
@@ -516,7 +542,7 @@ def document_to_bundle(doc: dict) -> RefutationBundle:
             tuple(Fraction(c) for c in doc["candidate"]["coefficients"])
         )
         certificates = tuple(certificate_from_fields(f) for f in doc["certificates"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise CertificateError(f"malformed document: {exc}") from exc
     return RefutationBundle(candidate, certificates)
 

@@ -16,7 +16,6 @@ usage or data errors.
 """
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,10 +94,6 @@ class CommandResult:
     @property
     def human(self) -> str:
         return "\n".join(self.human_lines)
-
-
-def _canonical(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 def _wrap(command: str, status: str, payload: dict) -> dict:
@@ -538,12 +533,12 @@ def main(argv=None) -> int:
     except (CFiniteError, ValueError, OSError) as exc:
         if getattr(args, "json", False):
             doc = _wrap(args.command, "error", {"message": str(exc)})
-            print(_canonical(doc))
+            print(certify._canonical_json(doc))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "json", False):
-        print(_canonical(result.document))
+        print(certify._canonical_json(result.document))
     elif result.human:
         print(result.human)
     return result.exit_code

@@ -169,9 +169,8 @@ def rational_gf(rec: LinearRecurrence, initial_terms) -> RationalFunction:
     expansion = expand_rational(rf, depth)
     expected = iterate_recurrence(rec, initial, depth)
     for n in range(1, depth + 1):
-        assert expansion.coefficient(n) == expected[n - 1], (
-            f"re-expansion mismatch at {n}"
-        )
+        if expansion.coefficient(n) != expected[n - 1]:
+            raise ArithmeticError(f"re-expansion mismatch at {n}")
     return rf
 
 

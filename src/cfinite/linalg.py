@@ -73,28 +73,62 @@ def solve(rows, rhs):
     return tuple(x)
 
 
-def _determinant_bareiss(mat):
-    """Fraction-free elimination for integer matrices; every intermediate
-    entry is an exact minor, so no rational normalization happens."""
+def _bareiss(mat, exchange: bool):
+    """Fraction-free elimination of an integer matrix, in place.
+
+    Returns (pivots, sign).  Every intermediate entry is an exact minor, so
+    no rational normalization happens, and pivot c is the determinant of
+    the leading (c+1) x (c+1) block of the (row-exchanged) matrix; without
+    exchanges these are the leading principal minors (Bareiss, Math. Comp.
+    22, 1968).  Elimination stops after the first zero pivot, which ends
+    the list: the minors past it are not determined by this pass.
+    """
     n = len(mat)
     sign = 1
     prev = 1
+    pivots = []
     for c in range(n):
-        pivot_row = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
-            sign = -sign
-        pivot = mat[c][c]
+        if exchange:
+            pivot_row = next((i for i in range(c, n) if mat[i][c] != 0), c)
+            if pivot_row != c:
+                mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
+                sign = -sign
+        top = mat[c]
+        pivot = top[c]
+        pivots.append(pivot)
+        if pivot == 0:
+            break
+        tail = top[c + 1 :]
         for i in range(c + 1, n):
             row = mat[i]
             lead = row[c]
-            for j in range(c + 1, n):
-                row[j] = (pivot * row[j] - lead * mat[c][j]) // prev
+            row[c + 1 :] = [(pivot * x - lead * y) // prev for x, y in zip(row[c + 1 :], tail)]
             row[c] = 0
         prev = pivot
-    return Fraction(sign * mat[n - 1][n - 1])
+    return pivots, sign
+
+
+def _square(matrix) -> int:
+    n = len(matrix)
+    for row in matrix:
+        if len(row) != n:
+            raise DimensionError(f"row of length {len(row)}, expected {n} for a square matrix")
+    return n
+
+
+def leading_principal_minors(matrix) -> list:
+    """Determinants of the leading 1x1, 2x2, ... blocks of a square integer
+    matrix, from one fraction-free pass.
+
+    Entry i is the minor of the leading (i+1) x (i+1) block.  The list stops
+    at the first zero minor, which is its last entry; the minors after a
+    zero one are not computed.
+    """
+    _square(matrix)
+    if not all(isinstance(x, int) for row in matrix for x in row):
+        raise TypeError("leading principal minors need an integer matrix")
+    pivots, _ = _bareiss([list(row) for row in matrix], exchange=False)
+    return pivots
 
 
 def determinant(matrix):
@@ -104,14 +138,12 @@ def determinant(matrix):
     anything else falls back to ordinary Gaussian elimination over the
     field of the entries.
     """
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise DimensionError("determinant needs a square matrix")
+    n = _square(matrix)
     if n == 0:
         return Fraction(1)
     if all(isinstance(x, int) for row in matrix for x in row):
-        return _determinant_bareiss([list(row) for row in matrix])
+        pivots, sign = _bareiss([list(row) for row in matrix], exchange=True)
+        return Fraction(sign * pivots[-1])
     mat = [[_entry(x) for x in row] for row in matrix]
     sign = 1
     det = Fraction(1)

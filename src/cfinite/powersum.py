@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from . import linalg
 from .errors import RootFindingError, SingularSystemError
 from .recurrence import LinearRecurrence
@@ -355,12 +353,15 @@ def polynomial_roots(p: Polynomial, tolerance: float = 1e-12, merge_tol: float =
                 mult = 0
                 while work.degree >= 1 and work(cand) == 0:
                     work, rem = divmod(work, Polynomial((-cand, 1)))
-                    assert rem.is_zero
+                    if not rem.is_zero:
+                        raise ArithmeticError(f"exact root {cand} left a remainder")
                     mult += 1
                 if mult:
                     roots.append((cand, mult))
         roots.sort(key=lambda rm: rm[0])
     if work.degree >= 1:
+        import numpy as np  # imported on first use, as in seqcore.catalan_ballot
+
         coeffs = [complex(c) for c in work.coeffs]
         raw = np.roots(coeffs[::-1])
         # cluster roots closer than merge_tol (union-find on pairs)
@@ -464,7 +465,10 @@ def binet_form(rec: LinearRecurrence, initial_terms) -> PowerSum:
     zero_mult = sum(m for r, m in roots if _is_exact(r) and r == 0)
     nonzero = [(r, m) for r, m in roots if not (_is_exact(r) and r == 0)]
     unknowns = sum(m for _, m in nonzero)
-    assert zero_mult + unknowns == rec.order
+    if zero_mult + unknowns != rec.order:
+        raise RootFindingError(
+            f"root multiplicities sum to {zero_mult + unknowns}, not the order {rec.order}"
+        )
     start = zero_mult + 1
     if unknowns == 0:
         return PowerSum((), valid_from=start)
@@ -482,6 +486,8 @@ def binet_form(rec: LinearRecurrence, initial_terms) -> PowerSum:
         if solution is None:
             raise SingularSystemError("confluent Vandermonde system is inconsistent")
     else:
+        import numpy as np
+
         mat = np.array(
             [[complex(n) ** t * complex(nonzero[j][0]) ** n for j, t in columns] for n in samples],
             dtype=complex,

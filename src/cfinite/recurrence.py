@@ -178,7 +178,8 @@ def kernel_nontrivial(rows, width: int | None = None):
     if len(rows) >= width:
         raise DimensionError(f"{len(rows)} rows x {width} columns: need m < n")
     basis = linalg.kernel_basis(rows, width)
-    assert basis, "m < n guarantees a nonzero kernel vector"
+    if not basis:
+        raise ArithmeticError("m < n guarantees a nonzero kernel vector")
     return basis[0]
 
 
@@ -268,7 +269,8 @@ def descend_field(
         )
     wm = WindowMatrix.from_sequence(seq, k + 1, window_count)
     kept = linalg.independent_row_indices(wm.rows, k + 1)
-    assert len(kept) < k + 1, "annihilated windows cannot have full rank"
+    if len(kept) >= k + 1:
+        raise ArithmeticError("annihilated windows cannot have full rank")
     rows = [wm.rows[i] for i in kept]
     astar = kernel_nontrivial(rows, k + 1)
     k_prime = max(j for j in range(k + 1) if astar[j] != 0)

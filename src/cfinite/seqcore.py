@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import MixedRadicandError, ResourceLimitError
 
 # Cap on the brute-force ballot enumeration: n = 13 means 2**24 words.
@@ -206,6 +204,8 @@ def catalan_ballot(n: int, cap: int = BALLOT_CAP_DEFAULT) -> int:
         raise ResourceLimitError(
             f"ballot enumeration for n={n} needs 2**{2 * n - 2} words; cap is n <= {cap}"
         )
+    import numpy as np  # imported on first use: no exact code path needs numpy
+
     length = 2 * n - 2
     if length > 32:
         raise ResourceLimitError("enumeration beyond 32-letter words is not supported")
@@ -241,7 +241,8 @@ def catalan_closed(n: int) -> int:
         raise ValueError(f"need n >= 1, got {n}")
     binom = math.comb(2 * n - 2, n - 1)
     quotient, remainder = divmod(binom, n)
-    assert remainder == 0, "closed-formula division left a remainder"
+    if remainder:
+        raise ArithmeticError("closed-formula division left a remainder")
     return quotient
 
 
@@ -252,7 +253,8 @@ def catalan_holonomic(count: int) -> Sequence:
     terms = [1]
     for n in range(1, count):
         quotient, remainder = divmod(terms[-1] * (4 * n - 2), n + 1)
-        assert remainder == 0, "term-ratio recurrence left a remainder"
+        if remainder:
+            raise ArithmeticError("term-ratio recurrence left a remainder")
         terms.append(quotient)
     return Sequence("catalan[holonomic]", tuple(terms))
 

@@ -4,10 +4,13 @@ import dataclasses
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import cfinite.certify as certify_module
+from cfinite import linalg
 from cfinite.certify import (
     bundle_to_document,
     candidate_residual,
@@ -32,8 +35,9 @@ from cfinite.certify import (
     validate_serialized,
 )
 from cfinite.errors import CertificateError
+from cfinite.gfseries import catalan_gf, expand_rational, rational_gf
 from cfinite.powersum import Polynomial
-from cfinite.recurrence import guess_recurrence, LinearRecurrence
+from cfinite.recurrence import guess_recurrence, hankel_nonsingular_witness, LinearRecurrence
 from cfinite.seqcore import catalan_closed, catalan_convolution
 
 TIMES_FOUR = LinearRecurrence((4,))
@@ -191,6 +195,50 @@ class TestHankelEngine:
             with pytest.raises(CertificateError):
                 validate_certificate(mutant)
 
+    def test_one_pass_matches_per_order_oracle(self):
+        seq = catalan_convolution(49)
+        oracle = [(k, 1, hankel_nonsingular_witness(seq, k, 1)) for k in range(25)]
+        assert refute_by_hankel(24).witnesses == tuple(oracle)
+        for bound in (0, 1, 7, 13):
+            assert refute_by_hankel(bound).witnesses == tuple(oracle[: bound + 1])
+
+    def test_validator_accepts_mixed_offsets(self):
+        seq = catalan_convolution(40)
+        witnesses = tuple(
+            (k, 1 + k % 3, int(hankel_nonsingular_witness(seq, k, 1 + k % 3)))
+            for k in range(12)
+        )
+        assert {det for k, offset, det in witnesses if offset == 3} != {1}
+        validate_certificate(HankelCertificate(11, witnesses))
+
+    def test_validator_messages(self):
+        cert = refute_by_hankel(3)
+        cases = [
+            ((0, 1, 1), (1, 1, 2), "order 1: stored determinant 2 != recomputed 1"),
+            ((0, 1, 0), (1, 1, 1), "zero determinant certifies nothing at order 0"),
+        ]
+        for first, second, message in cases:
+            mutant = dataclasses.replace(cert, witnesses=(first, second, *cert.witnesses[2:]))
+            with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
+                validate_certificate(mutant)
+
+    def test_zero_minor(self, monkeypatch):
+        # Catalan Hankel minors are never zero, so a singular window is
+        # simulated: a pass at offset 2 ends at a zero order-1 minor
+        def minors(offset, bound):
+            return [1, 0] if offset == 2 else [1] * (bound + 1)
+
+        monkeypatch.setattr(certify_module, "_catalan_hankel_minors", minors)
+        at_zero = HankelCertificate(1, ((0, 1, 1), (1, 2, 1)))
+        with pytest.raises(CertificateError, match="stored determinant 1 != recomputed 0"):
+            validate_certificate(at_zero)
+        past_zero = HankelCertificate(2, ((0, 2, 1), (1, 1, 1), (2, 2, 1)))
+        with pytest.raises(CertificateError, match="order 2: .* already singular"):
+            validate_certificate(past_zero)
+        monkeypatch.setattr(certify_module, "_catalan_hankel_minors", lambda offset, bound: [1, 0])
+        with pytest.raises(CertificateError, match="singular Catalan window at order 1"):
+            refute_by_hankel(3)
+
 
 class TestGfEngine:
     def test_times_four(self):
@@ -218,6 +266,34 @@ class TestGfEngine:
             coeffs = tuple(Fraction(rng.randint(-6, 6)) for _ in range(k))
             cert = refute_by_gf(LinearRecurrence(coeffs))
             assert cert.mismatch_index <= 2 * k + 1
+
+    def test_mismatch_at_the_bound(self):
+        # solving the order-k Catalan windows gives a candidate matching C_1..C_{2k}
+        for k in (3, 6, 10):
+            rows = [[catalan_closed(n + j) for j in range(k)] for n in range(1, k + 1)]
+            rhs = [catalan_closed(n + k) for n in range(1, k + 1)]
+            cert = refute_by_gf(LinearRecurrence(linalg.solve(rows, rhs)))
+            assert cert.mismatch_index == 2 * k + 1
+
+    def test_matches_deep_scan(self):
+        rng = random.Random(29)
+        for _ in range(20):
+            k = rng.randint(0, 9)
+            candidate = LinearRecurrence(
+                tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k))
+            )
+            rf = rational_gf(candidate, [catalan_closed(n) for n in range(1, k + 1)])
+            series = expand_rational(rf, 3 * k + 20)
+            n = next(n for n in range(1, 3 * k + 21) if series.coefficient(n) != catalan_closed(n))
+            oracle = GfMismatchCertificate(
+                rf.numerator, rf.denominator, n, series.coefficient(n), catalan_closed(n)
+            )
+            assert certificate_to_fields(refute_by_gf(candidate)) == certificate_to_fields(oracle)
+
+    def test_no_mismatch_within_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(certify_module, "expand_rational", lambda rf, depth: catalan_gf(depth))
+        with pytest.raises(CertificateError, match="proven bound"):
+            refute_by_gf(TIMES_FOUR)
 
     def test_validator_rejects_mutations(self):
         cert = refute_by_gf(TIMES_FOUR)
@@ -301,8 +377,6 @@ class TestSerialization:
             validate_document(doc)
 
     def test_candidate_link_enforced(self):
-        import cfinite.certify as certify_module
-
         bundle = refute_all(TIMES_FOUR)
         other = refute_all(LinearRecurrence((2,)))
         franken = RefutationBundle(
@@ -323,6 +397,26 @@ class TestSerialization:
             tampered = text[:i] + new + text[i:][1:]
             with pytest.raises(CertificateError):
                 validate_serialized(tampered)
+
+    def test_zero_denominator_rejected(self):
+        doc = bundle_to_document(refute_all(TIMES_FOUR))
+        doc["candidate"]["coefficients"][0] = "4/0"
+        doc["sha256"] = certify_module._payload_digest(doc)
+        with pytest.raises(CertificateError, match="malformed document"):
+            validate_document(doc)
+        doc = bundle_to_document(refute_all(TIMES_FOUR))
+        doc["certificates"][1]["residual"] = "3/0"
+        doc["sha256"] = certify_module._payload_digest(doc)
+        with pytest.raises(CertificateError, match="malformed"):
+            validate_document(doc)
+
+    def test_gf_denominator_vanishing_at_zero_rejected(self):
+        doc = bundle_to_document(refute_all(TIMES_FOUR))
+        gf = next(c for c in doc["certificates"] if c["kind"] == "gf-mismatch")
+        gf["denominator"][0] = "0"
+        doc["sha256"] = certify_module._payload_digest(doc)
+        with pytest.raises(CertificateError, match="nonzero at 0"):
+            validate_document(doc)
 
     def test_malformed_json_rejected(self):
         with pytest.raises(CertificateError):

@@ -205,6 +205,23 @@ class TestValidateCommand:
         assert code == 1
         assert "INVALID" in out
 
+    @pytest.mark.parametrize("forge", ["denominator", "q0"])
+    def test_zero_forgery_is_invalid(self, capsys, tmp_path, forge):
+        from cfinite.certify import _payload_digest
+
+        path = tmp_path / "cert.json"
+        run(capsys, "refute", "4", "--output", str(path))
+        doc = json.loads(path.read_text())
+        if forge == "denominator":
+            doc["candidate"]["coefficients"][0] = "4/0"
+        else:
+            doc["certificates"][-1]["denominator"][0] = "0"
+        doc["sha256"] = _payload_digest(doc)
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
+        assert code == 1
+        assert json.loads(out)["status"] == "invalid"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", "--input", str(tmp_path / "nope.json"))
         assert code == 2
