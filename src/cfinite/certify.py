@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import CertificateError
 from .gfseries import expand_rational, rational_gf, RationalFunction
-from .powersum import falling_factorial, Polynomial
+from .powersum import falling_factorial, linear_factor_product, Polynomial
 from .recurrence import LinearRecurrence, normalize_coprime
 from .seqcore import catalan_closed, catalan_is_odd
 
@@ -163,15 +163,6 @@ def validate_parity(cert: ParityCertificate) -> None:
             raise CertificateError("exact residual should be odd")
 
 
-def _omit_factor_product(order: int, skip: int) -> Polynomial:
-    """Product of (x + i) for i = 0..order except i = skip."""
-    poly = Polynomial((1,))
-    for i in range(order + 1):
-        if i != skip:
-            poly = poly * Polynomial((i, 1))
-    return poly
-
-
 def summand_polynomial(order: int, j: int) -> Polynomial:
     """The degree-3k factor multiplying a_j in the polynomial identity.
 
@@ -180,13 +171,9 @@ def summand_polynomial(order: int, j: int) -> Polynomial:
     dividing values.
     """
     k = order
-    first = _omit_factor_product(k, j)
-    second = Polynomial((1,))
-    for t in range(k - j):
-        second = second * Polynomial((k - 1 - t, 1))
-    third = Polynomial((1,))
-    for t in range(2 * j):
-        third = third * Polynomial((2 * j - 2 - t, 2))
+    first = linear_factor_product((i, 1) for i in range(k + 1) if i != j)
+    second = linear_factor_product((k - 1 - t, 1) for t in range(k - j))
+    third = linear_factor_product((2 * j - 2 - t, 2) for t in range(2 * j))
     return first * second * second * third
 
 
@@ -422,8 +409,29 @@ def _poly_fields(poly: Polynomial):
     return [_rat(c) for c in poly.coeffs]
 
 
+# What a malformed field raises while it is read.  OverflowError comes from
+# an infinite Decimal in a dict passed to document_to_bundle; JSON text
+# cannot carry one (see _load_document).
+_MALFORMED = (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError)
+
+
+def _int(value) -> int:
+    """An integer field: a JSON integer or a decimal string, never a bool
+    or a float (int() would read true as 1 and truncate 8.5 to 8)."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _rational(value) -> Fraction:
+    """A rational field: an integer or a "p/q" string, never a bool or a float."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"expected a rational number, got {value!r}")
+    return Fraction(value)
+
+
 def _poly_from_fields(coeffs) -> Polynomial:
-    return Polynomial(tuple(Fraction(c) for c in coeffs))
+    return Polynomial(tuple(_rational(c) for c in coeffs))
 
 
 def certificate_to_fields(cert) -> dict:
@@ -473,27 +481,27 @@ def certificate_from_fields(fields: dict):
         kind = fields["kind"]
         if kind == "parity":
             return ParityCertificate(
-                tuple(int(a) for a in fields["coprime_vector"]),
-                int(fields["odd_index"]),
-                int(fields["exponent"]),
-                int(fields["window_start"]),
-                tuple(int(b) for b in fields["parity_table"]),
-                None if fields["residual"] is None else int(fields["residual"]),
+                tuple(_int(a) for a in fields["coprime_vector"]),
+                _int(fields["odd_index"]),
+                _int(fields["exponent"]),
+                _int(fields["window_start"]),
+                tuple(_int(b) for b in fields["parity_table"]),
+                None if fields["residual"] is None else _int(fields["residual"]),
             )
         if kind == "polynomial":
             return PolynomialCertificate(
-                int(fields["order"]),
-                tuple(Fraction(c) for c in fields["coefficients"]),
+                _int(fields["order"]),
+                tuple(_rational(c) for c in fields["coefficients"]),
                 _poly_from_fields(fields["polynomial"]),
-                Fraction(fields["value_at_minus_order"]),
-                int(fields["witness_index"]),
-                Fraction(fields["residual"]),
+                _rational(fields["value_at_minus_order"]),
+                _int(fields["witness_index"]),
+                _rational(fields["residual"]),
             )
         if kind == "hankel":
             return HankelCertificate(
-                int(fields["order_bound"]),
+                _int(fields["order_bound"]),
                 tuple(
-                    (int(w["order"]), int(w["offset"]), int(w["determinant"]))
+                    (_int(w["order"]), _int(w["offset"]), _int(w["determinant"]))
                     for w in fields["witnesses"]
                 ),
             )
@@ -501,11 +509,11 @@ def certificate_from_fields(fields: dict):
             return GfMismatchCertificate(
                 _poly_from_fields(fields["numerator"]),
                 _poly_from_fields(fields["denominator"]),
-                int(fields["mismatch_index"]),
-                Fraction(fields["series_value"]),
-                int(fields["catalan_value"]),
+                _int(fields["mismatch_index"]),
+                _rational(fields["series_value"]),
+                _int(fields["catalan_value"]),
             )
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except _MALFORMED as exc:
         raise CertificateError(f"malformed certificate fields: {exc}") from exc
     raise CertificateError(f"unknown certificate kind {fields.get('kind')!r}")
 
@@ -539,20 +547,31 @@ def serialize_bundle(bundle: RefutationBundle) -> str:
 def document_to_bundle(doc: dict) -> RefutationBundle:
     try:
         candidate = LinearRecurrence(
-            tuple(Fraction(c) for c in doc["candidate"]["coefficients"])
+            tuple(_rational(c) for c in doc["candidate"]["coefficients"])
         )
         certificates = tuple(certificate_from_fields(f) for f in doc["certificates"])
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except _MALFORMED as exc:
         raise CertificateError(f"malformed document: {exc}") from exc
     return RefutationBundle(candidate, certificates)
 
 
-def parse_bundle(text: str) -> RefutationBundle:
+def _reject_number(text: str):
+    raise CertificateError(f"number {text} is not an integer; rationals are written as strings")
+
+
+def _load_document(text: str):
+    """Parse JSON text, refusing floats, NaN and Infinity: every number in a
+    document is an integer, and rationals are "p/q" strings.  An integer
+    literal longer than the interpreter's int conversion limit raises
+    ValueError, which is refused like any other malformed JSON."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_float=_reject_number, parse_constant=_reject_number)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise CertificateError(f"not valid JSON: {exc}") from exc
-    return document_to_bundle(doc)
+
+
+def parse_bundle(text: str) -> RefutationBundle:
+    return document_to_bundle(_load_document(text))
 
 
 def validate_document(doc: dict) -> RefutationBundle:
@@ -568,10 +587,15 @@ def validate_document(doc: dict) -> RefutationBundle:
         raise CertificateError(f"schema tag {doc.get('schema')!r} != {SCHEMA_TAG!r}")
     if "sha256" not in doc:
         raise CertificateError("document carries no digest")
-    if doc["sha256"] != _payload_digest(doc):
+    try:
+        digest = _payload_digest(doc)
+    except (TypeError, ValueError) as exc:  # a dict that JSON cannot encode
+        raise CertificateError(f"document is not JSON data: {exc}") from exc
+    if doc["sha256"] != digest:
         raise CertificateError("payload digest mismatch; the document was altered")
     bundle = document_to_bundle(doc)
-    if doc["candidate"].get("order") != bundle.candidate.order:
+    order = doc["candidate"].get("order")
+    if type(order) is not int or order != bundle.candidate.order:
         raise CertificateError("candidate order does not match its coefficient list")
     for cert in bundle.certificates:
         validate_certificate(cert)
@@ -580,11 +604,7 @@ def validate_document(doc: dict) -> RefutationBundle:
 
 
 def validate_serialized(text: str) -> RefutationBundle:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CertificateError(f"not valid JSON: {exc}") from exc
-    return validate_document(doc)
+    return validate_document(_load_document(text))
 
 
 def _check_candidate_link(cert, candidate: LinearRecurrence) -> None:

@@ -63,11 +63,15 @@ def parse_bfile(text: str) -> list:
     return records
 
 
-def ingest_bfile(path) -> Sequence:
-    """Sequence from a b-file, re-indexed to start at 1."""
+def ingest_bfile(path) -> tuple:
+    """Sequence from a b-file, re-indexed to start at 1, and a note saying
+    so when the file starts at another index (None otherwise)."""
     path = Path(path)
     records = parse_bfile(path.read_text())
-    return Sequence(path.name, tuple(r.value for r in records))
+    note = None
+    if records[0].index != 1:
+        note = f"input indexed from {records[0].index}; re-indexed to start at 1"
+    return Sequence(path.name, tuple(r.value for r in records)), note
 
 
 def parse_rational(text: str) -> Fraction:
@@ -170,14 +174,7 @@ def _cmd_catalan(args) -> CommandResult:
 
 def _load_guess_sequence(args) -> tuple:
     if args.input:
-        path = Path(args.input)
-        records = parse_bfile(path.read_text())
-        note = None
-        if records[0].index != 1:
-            note = (
-                f"input indexed from {records[0].index}; re-indexed to start at 1"
-            )
-        return Sequence(path.name, tuple(r.value for r in records)), note
+        return ingest_bfile(args.input)
     if args.terms_list:
         return Sequence("inline", parse_rational_list(args.terms_list)), None
     raise ValueError("supply --input FILE or --terms LIST")

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import InsufficientDataError
-from .powersum import Polynomial, poly_gcd
+from .powersum import convolve, Polynomial, poly_gcd
 from .recurrence import iterate_recurrence, LinearRecurrence
 from .seqcore import Sequence
 
@@ -79,13 +79,7 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([c * other for c in self.coefficients])
         n = min(self.truncation, other.truncation)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coefficients[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += a * other.coefficients[j]
-        return TruncatedSeries(out)
+        return TruncatedSeries(convolve(self.coefficients, other.coefficients, n + 1))
 
     __rmul__ = __mul__
 

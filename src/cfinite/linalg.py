@@ -1,11 +1,16 @@
-"""Exact Gaussian elimination over fields with decidable zero tests.
+"""Exact linear algebra from two elimination loops.
 
-Entries may be int, Fraction, or QuadraticFieldElement; anything with
-exact +, -, *, / and == 0 works.  Pivots are chosen leftmost-first in row
-order, so every routine is deterministic; no magnitude pivoting is needed
-because arithmetic is exact.
+`rref` is Gauss-Jordan elimination over a field with decidable zero tests;
+`kernel_basis` and `solve` are read off it.  Their entries may be int,
+Fraction, or QuadraticFieldElement; anything with exact +, -, *, / and
+== 0 works.  `_bareiss` is fraction-free elimination of integer matrices;
+`determinant` and `leading_principal_minors` use it, so determinants are
+taken over Q only (rational rows are scaled to integers first).  Pivots
+are chosen leftmost-first in row order, so every routine is deterministic;
+no magnitude pivoting is needed because arithmetic is exact.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import DimensionError
@@ -131,60 +136,30 @@ def leading_principal_minors(matrix) -> list:
     return pivots
 
 
-def determinant(matrix):
-    """Exact determinant of a square matrix.
+def clear_denominators(values):
+    """Integers proportional to int / Fraction values, and the scale used.
 
-    Integer matrices go through fraction-free (Bareiss) elimination;
-    anything else falls back to ordinary Gaussian elimination over the
-    field of the entries.
+    Returns (ints, scale) with ints[i] == values[i] * scale, where scale is
+    the lcm of the denominators (1 for an empty list).  Any other entry
+    type raises TypeError.
     """
-    n = _square(matrix)
-    if n == 0:
+    values = list(values)
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"need int or Fraction entries, got {type(x).__name__}")
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def determinant(matrix) -> Fraction:
+    """Exact determinant of a square int / Fraction matrix.
+
+    Each row is scaled to integers by the lcm of its denominators, the
+    integer matrix goes through fraction-free (Bareiss) elimination, and the
+    scales are divided out again.  Any other entry type raises TypeError.
+    """
+    if _square(matrix) == 0:
         return Fraction(1)
-    if all(isinstance(x, int) for row in matrix for x in row):
-        pivots, sign = _bareiss([list(row) for row in matrix], exchange=True)
-        return Fraction(sign * pivots[-1])
-    mat = [[_entry(x) for x in row] for row in matrix]
-    sign = 1
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
-            sign = -sign
-        det = det * mat[c][c]
-        inv = mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] / inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return sign * det
-
-
-def independent_row_indices(rows, width: int):
-    """Indices of the first maximal linearly independent subset of rows.
-
-    Rows are taken in order, so the result is deterministic: a row is kept
-    exactly when it is independent of the kept rows before it.
-    """
-    kept = []
-    echelon = []  # (pivot column, normalized row)
-    for idx, row in enumerate(rows):
-        work = [_entry(x) for x in row]
-        if len(work) != width:
-            raise DimensionError(f"row of length {len(work)}, expected {width}")
-        for pivot_col, pivot_row in echelon:
-            if work[pivot_col] != 0:
-                f = work[pivot_col]
-                work = [a - f * b for a, b in zip(work, pivot_row)]
-        lead = next((c for c in range(width) if work[c] != 0), None)
-        if lead is None:
-            continue
-        inv = work[lead]
-        work = [x / inv for x in work]
-        echelon.append((lead, work))
-        echelon.sort(key=lambda item: item[0])
-        kept.append(idx)
-    return kept
+    cleared = [clear_denominators(row) for row in matrix]
+    pivots, sign = _bareiss([ints for ints, _ in cleared], exchange=True)
+    return Fraction(sign * pivots[-1], math.prod(scale for _, scale in cleared))

@@ -27,6 +27,21 @@ def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction))
 
 
+def convolve(x, y, length: int) -> list:
+    """Coefficients 0..length-1 of the product of coefficient lists x and y.
+
+    Zero coefficients of the outer operand x are skipped, so passing the
+    shorter or sparser operand as x does the least work.
+    """
+    out = [0] * length
+    for i, a in enumerate(x[:length]):
+        if a == 0:
+            continue
+        end = min(length, i + len(y))
+        out[i:end] = [c + a * b for c, b in zip(out[i:end], y)]
+    return out
+
+
 class Polynomial:
     """Dense univariate polynomial; coefficients low order first.
 
@@ -106,13 +121,10 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return Polynomial(tuple(c * other for c in self.coeffs))
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(tuple(out))
+        outer, inner = self.coeffs, other.coeffs
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        return Polynomial(convolve(outer, inner, len(outer) + len(inner) - 1))
 
     __rmul__ = __mul__
 
@@ -187,9 +199,7 @@ class Polynomial:
 
 def _primitive_ints(poly: Polynomial) -> list:
     """Integer coefficients of the primitive part, positive leading term."""
-    coeffs = [Fraction(c) for c in poly.coeffs]
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
+    ints, _ = linalg.clear_denominators(poly.coeffs)
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
@@ -342,8 +352,7 @@ def polynomial_roots(p: Polynomial, tolerance: float = 1e-12, merge_tol: float =
         if v:
             roots.append((Fraction(0), v))
         if work.degree >= 1:
-            scale = math.lcm(*(c.denominator for c in work.coeffs))
-            ints = [int(c * scale) for c in work.coeffs]
+            ints, _ = linalg.clear_denominators(work.coeffs)
             candidates = []
             if abs(ints[0]) <= 10**12 and abs(ints[-1]) <= 10**12:
                 for num in _divisors(ints[0]):
@@ -598,14 +607,20 @@ def tail_lower_bound_check(dp: DominantPart, n: int) -> TailBound:
     return TailBound(observed, bound)
 
 
+def linear_factor_product(factors) -> Polynomial:
+    """Product of the linear polynomials c + d*x over the pairs (c, d) in
+    factors, multiplied in the given order; the empty product is 1."""
+    poly = Polynomial((1,))
+    for c, d in factors:
+        poly = poly * Polynomial((c, d))
+    return poly
+
+
 def falling_factorial(k: int) -> Polynomial:
     """(x)_k = x (x-1) ... (x-k+1); monic of degree k, with (x)_0 = 1."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    poly = Polynomial((1,))
-    for i in range(k):
-        poly = poly * Polynomial((-i, 1))
-    return poly
+    return linear_factor_product((-i, 1) for i in range(k))
 
 
 def catalan_asymptotic_constant(sample_index: int) -> float:

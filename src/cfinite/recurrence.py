@@ -240,9 +240,7 @@ def normalize_coprime(rec: LinearRecurrence) -> IntegerRecurrenceVector:
     """
     if not rec.is_rational():
         raise ValueError("coprime normalization needs rational coefficients")
-    vec = [Fraction(c) for c in rec.coefficients] + [Fraction(-1)]
-    scale = math.lcm(*(v.denominator for v in vec))
-    ints = [int(v * scale) for v in vec]
+    ints, _ = linalg.clear_denominators(rec.coefficients + (-1,))
     g = math.gcd(*ints)
     return IntegerRecurrenceVector(tuple(i // g for i in ints))
 
@@ -253,9 +251,9 @@ def descend_field(
     """Replace extension-field coefficients by rational ones, order k' <= k.
 
     The rational window vectors annihilated by the extension-field
-    coefficient vector span a space of dimension < k+1; a nonzero rational
-    vector orthogonal to a maximal independent row set then yields the
-    rational recurrence, which is verified against all supplied terms.
+    coefficient vector span a space of dimension < k+1; the first vector of
+    a rational kernel basis of the window matrix then yields the rational
+    recurrence, which is verified against all supplied terms.
     """
     k = rec.order
     if window_count < k + 2:
@@ -268,11 +266,10 @@ def descend_field(
             f"input recurrence fails on window {check.failed_index}: residual {check.residual}"
         )
     wm = WindowMatrix.from_sequence(seq, k + 1, window_count)
-    kept = linalg.independent_row_indices(wm.rows, k + 1)
-    if len(kept) >= k + 1:
+    basis = linalg.kernel_basis(wm.rows, k + 1)
+    if not basis:
         raise ArithmeticError("annihilated windows cannot have full rank")
-    rows = [wm.rows[i] for i in kept]
-    astar = kernel_nontrivial(rows, k + 1)
+    astar = basis[0]
     k_prime = max(j for j in range(k + 1) if astar[j] != 0)
     lead = astar[k_prime]
     result = LinearRecurrence(tuple(-astar[j] / lead for j in range(k_prime)))

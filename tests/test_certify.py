@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,47 @@ from cfinite.seqcore import catalan_closed, catalan_convolution
 
 TIMES_FOUR = LinearRecurrence((4,))
 EMPTY = LinearRecurrence(())
+
+
+def _forge_fields(text, edit, *replacements):
+    """Apply `edit` to the parsed document, recompute its digest, and apply
+    text replacements to the result (for literals json.dumps cannot write)."""
+    doc = json.loads(text)
+    edit(doc)
+    doc["sha256"] = certify_module._payload_digest(doc)
+    forged = json.dumps(doc)
+    for old, new in replacements:
+        forged = forged.replace(old, new)
+    return forged
+
+
+def _set_parity(**fields):
+    return lambda doc: doc["certificates"][0].update(fields)
+
+
+def _set_coefficient(value):
+    return lambda doc: doc["candidate"]["coefficients"].__setitem__(0, value)
+
+
+# Each rewrites a genuine serialized TIMES_FOUR bundle (parity window 3,
+# exponent 2, odd index 1, table (0, 1)) with a number of the wrong type; all
+# but the last recompute the digest (the last is refused before it is read).
+# Before the number types were checked, the first two validated (int()
+# truncates floats and reads booleans as 0 / 1) and the last three escaped
+# as OverflowError or ValueError.
+NUMBER_TYPE_FORGERIES = {
+    "float_fields": lambda text: _forge_fields(
+        text, _set_parity(window_start=3.5, exponent=2.25)
+    ),
+    "bool_fields": lambda text: _forge_fields(
+        text, _set_parity(odd_index=True, parity_table=[False, True])
+    ),
+    "infinity": lambda text: _forge_fields(text, _set_coefficient(math.inf)),
+    "huge_float": lambda text: _forge_fields(
+        text, _set_coefficient(math.inf), ("Infinity", "1e400")
+    ),
+    "long_integer": lambda text: text.replace('"residual":3', '"residual":' + "1" * 5000, 1),
+}
 
 
 class TestParityEngine:
@@ -416,6 +458,31 @@ class TestSerialization:
         gf["denominator"][0] = "0"
         doc["sha256"] = certify_module._payload_digest(doc)
         with pytest.raises(CertificateError, match="nonzero at 0"):
+            validate_document(doc)
+
+    @pytest.mark.parametrize("form", sorted(NUMBER_TYPE_FORGERIES))
+    def test_number_types_checked_in_text(self, form):
+        text = NUMBER_TYPE_FORGERIES[form](serialize_bundle(refute_all(TIMES_FOUR)))
+        with pytest.raises(CertificateError):
+            validate_serialized(text)
+        with pytest.raises(CertificateError):
+            parse_bundle(text)
+
+    def test_number_types_checked_in_dicts(self):
+        for form in ("float_fields", "bool_fields", "infinity"):
+            doc = json.loads(NUMBER_TYPE_FORGERIES[form](serialize_bundle(refute_all(TIMES_FOUR))))
+            with pytest.raises(CertificateError, match="malformed"):
+                validate_document(doc)
+        doc = bundle_to_document(refute_all(TIMES_FOUR))
+        doc["candidate"]["coefficients"][0] = Decimal("Infinity")
+        with pytest.raises(CertificateError, match="malformed"):
+            certify_module.document_to_bundle(doc)
+        with pytest.raises(CertificateError, match="not JSON data"):
+            validate_document(doc)
+        doc = bundle_to_document(refute_all(TIMES_FOUR))
+        doc["candidate"]["order"] = True
+        doc["sha256"] = certify_module._payload_digest(doc)
+        with pytest.raises(CertificateError, match="candidate order"):
             validate_document(doc)
 
     def test_malformed_json_rejected(self):

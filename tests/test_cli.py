@@ -8,6 +8,7 @@ from cfinite.cli import ingest_bfile, main, parse_bfile, parse_rational_list
 from cfinite.errors import BFileError
 from cfinite.recurrence import guess_recurrence
 from cfinite.seqcore import catalan_convolution, fibonacci
+from test_certify import NUMBER_TYPE_FORGERIES
 
 
 def run(capsys, *argv):
@@ -42,9 +43,10 @@ class TestBFile:
     def test_zero_based_shift(self, tmp_path):
         path = tmp_path / "a.txt"
         path.write_text("0 1\n1 1\n2 2\n")
-        seq = ingest_bfile(path)
+        seq, note = ingest_bfile(path)
         assert seq.terms == (1, 1, 2)
         assert seq.term(1) == 1  # re-indexed to 1-based
+        assert note == "input indexed from 0; re-indexed to start at 1"
 
     def test_empty_is_error(self):
         with pytest.raises(BFileError, match="no data"):
@@ -94,8 +96,9 @@ class TestCatalanCommand:
         path = tmp_path / "catalan.txt"
         code, _, _ = run(capsys, "catalan", "-n", "30", "--output", str(path))
         assert code == 0
-        seq = ingest_bfile(path)
+        seq, note = ingest_bfile(path)
         assert seq.terms == catalan_convolution(30).terms
+        assert note is None
         assert guess_recurrence(seq, 8) is None
         code, out, _ = run(capsys, "guess", "--input", str(path), "--max-order", "8")
         assert code == 0
@@ -218,6 +221,15 @@ class TestValidateCommand:
             doc["certificates"][-1]["denominator"][0] = "0"
         doc["sha256"] = _payload_digest(doc)
         path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
+        assert code == 1
+        assert json.loads(out)["status"] == "invalid"
+
+    @pytest.mark.parametrize("form", sorted(NUMBER_TYPE_FORGERIES))
+    def test_number_type_forgery_is_invalid(self, capsys, tmp_path, form):
+        path = tmp_path / "cert.json"
+        run(capsys, "refute", "4", "--output", str(path))
+        path.write_text(NUMBER_TYPE_FORGERIES[form](path.read_text()))
         code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
         assert code == 1
         assert json.loads(out)["status"] == "invalid"

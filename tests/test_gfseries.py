@@ -33,6 +33,18 @@ class TestTruncatedSeries:
         b = series((1, -1), 5)  # 1 - x
         assert (a * b).coefficients == series((1, 0, -1), 5).coefficients
 
+    def test_unequal_truncations_match_polynomial_product(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            a = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 8))]
+            b = [rng.randint(-4, 4) for _ in range(rng.randint(1, 8))]
+            n = min(len(a), len(b)) - 1
+            expected = Polynomial(a) * Polynomial(b)
+            product = series(a) * series(b)
+            assert product.truncation == n
+            assert product.coefficients == tuple(expected.coefficient(i) for i in range(n + 1))
+            assert (series(b) * series(a)).coefficients == product.coefficients
+
     def test_zero_plus_any(self):
         a = series((3, 1, 4, 1, 5))
         zero = series((0,), 4)

@@ -56,6 +56,28 @@ class TestPolynomial:
         )
         assert g == Polynomial((-1, 1))
 
+    def test_products_of_unequal_lengths_match_double_loop(self):
+        def naive(a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return Polynomial(out)
+
+        rng = random.Random(29)
+        for _ in range(60):
+            a = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(1, 9))]
+            b = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
+            a[-1] = a[-1] or Fraction(1)
+            b[-1] = b[-1] or 1
+            if len(a) > 2:
+                a[1] = 0  # interior zeros of either operand
+            if len(b) > 2:
+                b[1] = 0
+            p, q = Polynomial(a), Polynomial(b)
+            assert p * q == q * p == naive(a, b)
+        assert Polynomial() * Polynomial((1, 2)) == Polynomial((1, 2)) * Polynomial() == Polynomial()
+
     def test_str(self):
         assert str(Polynomial((1, -1, -1))) == "1 - x - x^2"
         assert str(Polynomial((0, 0, 6))) == "6*x^2"

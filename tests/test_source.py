@@ -41,3 +41,52 @@ assert "numpy" in sys.modules
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _module_trees():
+    return {
+        path.name: ast.parse(path.read_text(), str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def _referenced_names(tree) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_no_unused_imports():
+    # no linter runs on this package, so leftovers from deletions are caught here;
+    # __init__.py imports only to re-export
+    found = []
+    for name, tree in _module_trees().items():
+        if name == "__init__.py":
+            continue
+        used = _referenced_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        found.append(f"{name}:{node.lineno} {bound}")
+    assert found == []
+
+
+def test_no_unreferenced_private_functions():
+    trees = _module_trees()
+    used = set().union(*(_referenced_names(tree) for tree in trees.values()))
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert found == []
