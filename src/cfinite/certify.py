@@ -24,11 +24,12 @@ sha256 digest over the payload, so validation fails loudly on any edit.
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import CertificateError
+from .errors import CertificateError, ResourceLimitError
 from .gfseries import expand_rational, rational_gf, RationalFunction
 from .powersum import falling_factorial, linear_factor_product, Polynomial
 from .recurrence import LinearRecurrence, normalize_coprime
@@ -401,12 +402,34 @@ def refute_all(
 # serialization: canonical JSON with a digest over the payload
 
 
-def _rat(value) -> str:
-    return str(Fraction(value))
+def _written(value: int, field: str) -> int:
+    """An integer on its way into a document.  One with more decimal digits
+    than the interpreter converts (sys.get_int_max_str_digits(), 0 for no
+    limit) raises ResourceLimitError naming the field, because
+    _load_document reads with the same limit.  Indices and counts (orders,
+    offsets, window starts, exponents) are bounded by the work that found
+    them and are not checked."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    # a value below 2**(3 * limit) < 10**limit always fits
+    if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+        raise ResourceLimitError(
+            f"certificate field {field} holds an integer of more than {limit} digits, "
+            f"past the int/str conversion limit documents are read with "
+            f"(sys.get_int_max_str_digits() = {limit})"
+        )
+    return value
 
 
-def _poly_fields(poly: Polynomial):
-    return [_rat(c) for c in poly.coeffs]
+def _rat(value, field: str) -> str:
+    """A rational (or integer) field as text: "p/q", or "p" when q = 1."""
+    value = Fraction(value)
+    _written(value.numerator, field)
+    _written(value.denominator, field)
+    return str(value)
+
+
+def _poly_fields(poly: Polynomial, field: str):
+    return [_rat(c, field) for c in poly.coeffs]
 
 
 # What a malformed field raises while it is read.  OverflowError comes from
@@ -438,40 +461,46 @@ def certificate_to_fields(cert) -> dict:
     if isinstance(cert, ParityCertificate):
         return {
             "kind": "parity",
-            "coprime_vector": list(cert.coprime_vector),
+            "coprime_vector": [
+                _written(a, "parity.coprime_vector") for a in cert.coprime_vector
+            ],
             "odd_index": cert.odd_index,
             "exponent": cert.exponent,
             "window_start": cert.window_start,
             "parity_table": list(cert.parity_table),
-            "residual": cert.residual,
+            "residual": (
+                None if cert.residual is None else _written(cert.residual, "parity.residual")
+            ),
         }
     if isinstance(cert, PolynomialCertificate):
         return {
             "kind": "polynomial",
             "order": cert.order,
-            "coefficients": [_rat(c) for c in cert.coefficients],
-            "polynomial": _poly_fields(cert.polynomial),
-            "value_at_minus_order": _rat(cert.value_at_minus_order),
+            "coefficients": [_rat(c, "polynomial.coefficients") for c in cert.coefficients],
+            "polynomial": _poly_fields(cert.polynomial, "polynomial.polynomial"),
+            "value_at_minus_order": _rat(
+                cert.value_at_minus_order, "polynomial.value_at_minus_order"
+            ),
             "witness_index": cert.witness_index,
-            "residual": _rat(cert.residual),
+            "residual": _rat(cert.residual, "polynomial.residual"),
         }
     if isinstance(cert, HankelCertificate):
         return {
             "kind": "hankel",
             "order_bound": cert.order_bound,
             "witnesses": [
-                {"order": k, "offset": offset, "determinant": str(det)}
+                {"order": k, "offset": offset, "determinant": _rat(det, "hankel.determinant")}
                 for k, offset, det in cert.witnesses
             ],
         }
     if isinstance(cert, GfMismatchCertificate):
         return {
             "kind": "gf-mismatch",
-            "numerator": _poly_fields(cert.numerator),
-            "denominator": _poly_fields(cert.denominator),
+            "numerator": _poly_fields(cert.numerator, "gf-mismatch.numerator"),
+            "denominator": _poly_fields(cert.denominator, "gf-mismatch.denominator"),
             "mismatch_index": cert.mismatch_index,
-            "series_value": _rat(cert.series_value),
-            "catalan_value": str(cert.catalan_value),
+            "series_value": _rat(cert.series_value, "gf-mismatch.series_value"),
+            "catalan_value": _rat(cert.catalan_value, "gf-mismatch.catalan_value"),
         }
     raise TypeError(f"not a certificate: {type(cert).__name__}")
 
@@ -532,7 +561,9 @@ def bundle_to_document(bundle: RefutationBundle) -> dict:
         "schema": SCHEMA_TAG,
         "candidate": {
             "order": bundle.candidate.order,
-            "coefficients": [_rat(c) for c in bundle.candidate.coefficients],
+            "coefficients": [
+                _rat(c, "candidate.coefficients") for c in bundle.candidate.coefficients
+            ],
         },
         "certificates": [certificate_to_fields(c) for c in bundle.certificates],
     }

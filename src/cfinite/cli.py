@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from . import certify, gfseries, powersum, recurrence, seqcore
+from . import certify, gfseries, linalg, powersum, recurrence, seqcore
 from .certify import SCHEMA_TAG
 from .errors import BFileError, CertificateError, CFiniteError
 from .recurrence import LinearRecurrence
@@ -181,14 +181,30 @@ def _load_guess_sequence(args) -> tuple:
 
 
 def _hankel_evidence(seq: Sequence, max_order: int):
+    """(k, (offset, determinant) or None) for k = 0..max_order: the first
+    offset whose square order-k window matrix is nonsingular.  The terms
+    must reach b_{2K+1}, K = max_order.
+
+    The offset-1 matrices are the leading blocks of one Hankel matrix, so
+    one fraction-free pass over b_1..b_{2K+1}, scaled to integers by s,
+    gives every order-k minor as minor_k / s**(k+1).  Orders at or past the
+    first zero minor search further offsets one determinant at a time.
+    """
+    ints, scale = linalg.clear_denominators(seq.terms[: 2 * max_order + 1])
+    minors = linalg.leading_principal_minors(
+        [ints[i : i + max_order + 1] for i in range(max_order + 1)]
+    )
     evidence = []
     for k in range(max_order + 1):
         found = None
-        for offset in range(1, len(seq) - 2 * k + 1):
-            det = recurrence.hankel_nonsingular_witness(seq, k, offset)
-            if det != 0:
-                found = (offset, det)
-                break
+        if k < len(minors) and minors[k] != 0:
+            found = (1, Fraction(minors[k], scale ** (k + 1)))
+        else:
+            for offset in range(1, len(seq) - 2 * k + 1):
+                det = recurrence.hankel_nonsingular_witness(seq, k, offset)
+                if det != 0:
+                    found = (offset, det)
+                    break
         evidence.append((k, found))
     return evidence
 

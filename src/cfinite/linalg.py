@@ -1,13 +1,19 @@
 """Exact linear algebra from two elimination loops.
 
-`rref` is Gauss-Jordan elimination over a field with decidable zero tests;
-`kernel_basis` and `solve` are read off it.  Their entries may be int,
-Fraction, or QuadraticFieldElement; anything with exact +, -, *, / and
-== 0 works.  `_bareiss` is fraction-free elimination of integer matrices;
-`determinant` and `leading_principal_minors` use it, so determinants are
-taken over Q only (rational rows are scaled to integers first).  Pivots
-are chosen leftmost-first in row order, so every routine is deterministic;
-no magnitude pivoting is needed because arithmetic is exact.
+`reduce_columns` is Gauss-Jordan elimination over a field with decidable
+zero tests, fed one column at a time: each pivot step is recorded and
+replayed on every later column, and no entry right of the current column
+is touched.  The reduced row echelon form of a column prefix is the prefix
+of the reduced form, so column c comes out final as soon as it is read and
+a caller may stop early; `guess_recurrence` reads every order off one pass
+this way.  `rref`, `kernel_basis` and `solve` are read off it.  Their
+entries may be int, Fraction, or QuadraticFieldElement; anything with
+exact +, -, *, / and == 0 works.  `_bareiss` is fraction-free elimination
+of integer matrices; `determinant` and `leading_principal_minors` use it,
+so determinants are taken over Q only (rational rows are scaled to
+integers first).  Pivots are chosen leftmost-first in row order, so every
+routine is deterministic; no magnitude pivoting is needed because
+arithmetic is exact.
 """
 
 import math
@@ -20,30 +26,59 @@ def _entry(x):
     return Fraction(x) if isinstance(x, int) else x
 
 
+def reduce_columns(columns, height: int):
+    """Gauss-Jordan elimination fed one column at a time.
+
+    For each column of `height` entries, yields (its reduced entries, the
+    row of its pivot, or None for a free column).  The reduced entries are
+    that column of the reduced row echelon form of the columns read so far.
+    Each pivot step (its row, the row swapped into it, the pivot and the
+    nonzero multipliers) is replayed on every later column, so a column
+    costs one replay and the columns after it are never read.
+    """
+    steps = []
+    for column in columns:
+        col = [_entry(x) for x in column]
+        if len(col) != height:
+            raise DimensionError(f"column of length {len(col)}, expected {height}")
+        for row, swap, pivot, multipliers in steps:
+            col[row], col[swap] = col[swap], col[row]
+            top = col[row] = col[row] / pivot
+            for i, f in multipliers:
+                col[i] = col[i] - f * top
+        r = len(steps)
+        pivot_row = next((i for i in range(r, height) if col[i] != 0), None)
+        if pivot_row is None:
+            yield col, None
+            continue
+        col[r], col[pivot_row] = col[pivot_row], col[r]
+        pivot = col[r]
+        top = col[r] = pivot / pivot
+        multipliers = [(i, col[i]) for i in range(height) if i != r and col[i] != 0]
+        for i, f in multipliers:
+            col[i] = col[i] - f * top
+        steps.append((r, pivot_row, pivot, multipliers))
+        yield col, r
+
+
 def rref(rows, width: int):
     """Reduced row echelon form.  Returns (reduced rows, pivot columns)."""
     mat = [[_entry(x) for x in row] for row in rows]
     for row in mat:
         if len(row) != width:
             raise DimensionError(f"row of length {len(row)}, expected {width}")
-    pivots = []
-    r = 0
-    for c in range(width):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+    columns = [[row[c] for row in mat] for c in range(width)]
+    if len({(type(x), getattr(x, "radicand", None)) for row in mat for x in row}) > 1:
+        # A later pivot step leaves the values of earlier columns alone, but
+        # row-wise elimination still computes them, and Fraction minus
+        # QuadraticFieldElement is a QuadraticFieldElement (or a radicand
+        # clash).  A second copy of each column goes through every step, so
+        # mixed matrices keep the types and errors of row-wise elimination.
+        columns += columns
+    passes = list(reduce_columns(columns, len(mat)))
+    pivots = [c for c, (_, row) in enumerate(passes[:width]) if row is not None]
+    reduced = [col for col, _ in passes[len(passes) - width :]]
+    return [[col[i] for col in reduced] for i in range(len(mat))], pivots
 
 
 def kernel_basis(rows, width: int):

@@ -188,12 +188,15 @@ def guess_recurrence(
 ) -> LinearRecurrence | None:
     """Least-order recurrence of order <= max_order fitting the data.
 
-    For each k the width-(k+1) window matrix over rows n = 1..W is searched
-    for a kernel vector with nonzero last coordinate; the first k that
-    yields one whose recurrence verifies on all supplied terms wins.
-    Returns None when no order <= max_order fits.  The result is only ever
-    "verified on available data": finitely many terms cannot prove a
-    recurrence for all n.
+    The width-(k+1) window matrix over rows n = 1..W is the first k+1
+    columns of the width-(max_order+1) one, and column j is the terms
+    b_{1+j}..b_{W+j}.  One Gauss-Jordan pass reads these columns in order
+    (`linalg.reduce_columns`): a free column k gives the order-k kernel
+    vector with nonzero last coordinate, read off the pivots, and the first
+    k whose recurrence verifies on all supplied terms wins, so the pass
+    stops after column k.  Returns None when no order <= max_order fits.
+    The result is only ever "verified on available data": finitely many
+    terms cannot prove a recurrence for all n.
     """
     if window_count is None:
         window_count = min(2 * max_order + 4, len(seq) - max_order)
@@ -205,14 +208,16 @@ def guess_recurrence(
         raise InsufficientDataError(
             f"need {max_order + window_count} terms, have {len(seq)}"
         )
-    for k in range(max_order + 1):
-        wm = WindowMatrix.from_sequence(seq, k + 1, window_count)
-        reduced, pivots = linalg.rref(wm.rows, k + 1)
-        if k in pivots:
-            continue  # last column pivotal: every kernel vector ends in 0
+    terms = seq.terms
+    columns = (terms[j : j + window_count] for j in range(max_order + 1))
+    pivots = []
+    for k, (column, pivot_row) in enumerate(linalg.reduce_columns(columns, window_count)):
+        if pivot_row is not None:
+            pivots.append(k)
+            continue  # column k pivotal: every kernel vector ends in 0
         coeffs = [Fraction(0)] * k
         for i, p in enumerate(pivots):
-            coeffs[p] = reduced[i][k]
+            coeffs[p] = column[i]
         candidate = LinearRecurrence(tuple(coeffs))
         if verify(seq, candidate).passed:
             return candidate

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -35,13 +36,14 @@ from cfinite.certify import (
     validate_document,
     validate_serialized,
 )
-from cfinite.errors import CertificateError
+from cfinite.errors import CertificateError, ResourceLimitError
 from cfinite.gfseries import catalan_gf, expand_rational, rational_gf
 from cfinite.powersum import Polynomial
 from cfinite.recurrence import guess_recurrence, hankel_nonsingular_witness, LinearRecurrence
 from cfinite.seqcore import catalan_closed, catalan_convolution
 
 TIMES_FOUR = LinearRecurrence((4,))
+BIG_DENOMINATORS = LinearRecurrence((Fraction(1, 10**2500 + 1), Fraction(1, 10**2500 + 3)))
 EMPTY = LinearRecurrence(())
 
 
@@ -459,6 +461,27 @@ class TestSerialization:
         doc["sha256"] = certify_module._payload_digest(doc)
         with pytest.raises(CertificateError, match="nonzero at 0"):
             validate_document(doc)
+
+    def test_integer_past_the_digit_limit_refused_at_the_producer(self):
+        # the coprime vector of this candidate has 16,610-bit entries
+        bundle = RefutationBundle(BIG_DENOMINATORS, (refute_by_parity(BIG_DENOMINATORS),))
+        limit = sys.get_int_max_str_digits()
+        message = f"parity.coprime_vector .* more than {limit} digits"
+        with pytest.raises(ResourceLimitError, match=message):
+            bundle_to_document(bundle)
+        with pytest.raises(ResourceLimitError, match=message):
+            serialize_bundle(bundle)
+
+    def test_digit_limit_covers_both_parts_of_rationals(self):
+        limit = sys.get_int_max_str_digits()
+        for value in (Fraction(10**limit, 3), Fraction(1, 10**limit)):
+            with pytest.raises(ResourceLimitError, match="candidate.coefficients"):
+                bundle_to_document(RefutationBundle(LinearRecurrence((value,)), ()))
+        largest = 10**limit - 1  # exactly `limit` digits: still written
+        fields = certificate_to_fields(HankelCertificate(0, ((0, 1, -largest),)))
+        assert fields["witnesses"][0]["determinant"] == str(-largest)
+        with pytest.raises(ResourceLimitError, match="hankel.determinant"):
+            certificate_to_fields(HankelCertificate(0, ((0, 1, -(largest + 1)),)))
 
     @pytest.mark.parametrize("form", sorted(NUMBER_TYPE_FORGERIES))
     def test_number_types_checked_in_text(self, form):

@@ -4,11 +4,14 @@ import json
 
 import pytest
 
-from cfinite.cli import ingest_bfile, main, parse_bfile, parse_rational_list
+import random
+from fractions import Fraction
+
+from cfinite.cli import _hankel_evidence, ingest_bfile, main, parse_bfile, parse_rational_list
 from cfinite.errors import BFileError
-from cfinite.recurrence import guess_recurrence
-from cfinite.seqcore import catalan_convolution, fibonacci
-from test_certify import NUMBER_TYPE_FORGERIES
+from cfinite.recurrence import guess_recurrence, hankel_nonsingular_witness
+from cfinite.seqcore import catalan_convolution, fibonacci, Sequence
+from test_certify import BIG_DENOMINATORS, NUMBER_TYPE_FORGERIES
 
 
 def run(capsys, *argv):
@@ -136,10 +139,63 @@ class TestGuessCommand:
         assert code == 0
         assert "re-indexed" in out
 
+    def test_rational_terms_with_zero_windows(self, capsys):
+        # b_1 = 0 ends the one-pass minors at order 0: every order searches offsets
+        code, out, _ = run(capsys, "guess", "--terms", "0,0,1/2,0,3,1,0,5/3,2", "--json")
+        assert code == 0
+        assert json.loads(out)["payload"]["hankel_witnesses"] == [
+            {"order": 0, "offset": 3, "determinant": "1/2"},
+            {"order": 1, "offset": 2, "determinant": "-1/4"},
+            {"order": 2, "offset": 1, "determinant": "-1/8"},
+            {"order": 3, "offset": 1, "determinant": "9/4"},
+            {"order": 4, "offset": 1, "determinant": "18457/72"},
+        ]
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "guess", "--max-order", "3")
         assert code == 2
         assert "supply" in err
+
+
+def reference_hankel_evidence(seq, max_order):
+    """One determinant per order and offset, as the guess command searched
+    before it read the offset-1 minors off one pass."""
+    evidence = []
+    for k in range(max_order + 1):
+        found = None
+        for offset in range(1, len(seq) - 2 * k + 1):
+            det = hankel_nonsingular_witness(seq, k, offset)
+            if det != 0:
+                found = (offset, det)
+                break
+        evidence.append((k, found))
+    return evidence
+
+
+class TestHankelEvidence:
+    def test_matches_per_offset_search(self):
+        rng = random.Random(43)
+        past_zero_minor = 0
+        for trial in range(60):
+            length = rng.randint(1, 13)
+            if trial % 2:
+                terms = [rng.choice((0, 0, 1, -1, 2)) for _ in range(length)]
+            else:
+                terms = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(length)]
+            seq = Sequence("random", terms)
+            max_order = (length - 1) // 2
+            evidence = _hankel_evidence(seq, max_order)
+            assert evidence == reference_hankel_evidence(seq, max_order)
+            for _, found in evidence:
+                assert found is None or type(found[1]) is Fraction
+            past_zero_minor += any(f is None or f[0] > 1 for _, f in evidence)
+        assert past_zero_minor >= 15
+
+    def test_catalan_terms(self):
+        seq = catalan_convolution(25)
+        evidence = _hankel_evidence(seq, 12)
+        assert evidence == reference_hankel_evidence(seq, 12)
+        assert evidence == [(k, (1, 1)) for k in range(13)]
 
 
 class TestRefuteCommand:
@@ -182,6 +238,16 @@ class TestRefuteCommand:
         code, _, err = run(capsys, "refute", "1,,2")
         assert code == 2
         assert "rational" in err
+
+    def test_integer_past_the_digit_limit(self, capsys):
+        coefficients = ",".join(str(c) for c in BIG_DENOMINATORS.coefficients)
+        code, out, _ = run(capsys, "refute", coefficients, "--method", "parity", "--json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert "parity.coprime_vector" in doc["payload"]["message"]
+        code, _, err = run(capsys, "refute", coefficients, "--method", "parity")
+        assert code == 2 and "sys.get_int_max_str_digits()" in err
 
     def test_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "refute", "4", "--json")

@@ -1,4 +1,5 @@
-"""Exact linear algebra: Bareiss determinants and minors, denominators."""
+"""Exact linear algebra: column-fed Gauss-Jordan, Bareiss determinants and
+minors, denominators."""
 
 import random
 from fractions import Fraction
@@ -6,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from cfinite.errors import DimensionError
-from cfinite.linalg import clear_denominators, determinant, leading_principal_minors
+from cfinite.linalg import (
+    clear_denominators,
+    determinant,
+    leading_principal_minors,
+    reduce_columns,
+    rref,
+)
 from cfinite.seqcore import QuadraticFieldElement
 
 
@@ -18,6 +25,103 @@ def cofactor_determinant(matrix):
         (-1) ** j * a * cofactor_determinant([row[:j] + row[j + 1 :] for row in matrix[1:]])
         for j, a in enumerate(matrix[0])
     )
+
+
+def reference_rref(rows, width):
+    """Row-by-row Gauss-Jordan elimination, the loop rref ran before it was
+    fed by columns: the reference for entries and their types."""
+    mat = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def typed(rows):
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+def random_matrix(rng, kind, height, width, combine=False):
+    """int, Fraction, Q(sqrt 5) or mixed entries; with `combine` and two or
+    more rows the last row combines the first and the next-to-last."""
+
+    def entry(kind):
+        if kind == "int":
+            return rng.randint(-3, 3)
+        if kind == "fraction":
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        if kind == "sqrt5":
+            return QuadraticFieldElement(rng.randint(-2, 2), rng.randint(-1, 1), 5)
+        return entry(rng.choice(("int", "fraction", "sqrt5")))
+
+    rows = [[entry(kind) for _ in range(width)] for _ in range(height)]
+    if combine and height >= 2:
+        rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[-2])]
+    return rows
+
+
+KINDS = ("int", "fraction", "sqrt5", "mixed")
+
+
+class TestRref:
+    def test_matches_row_wise_elimination(self):
+        rng = random.Random(31)
+        deficient = 0
+        for trial in range(160):
+            height, width = rng.randint(0, 5), rng.randint(0, 5)
+            rows = random_matrix(rng, KINDS[trial % 4], height, width, trial % 3 == 0)
+            reduced, pivots = rref(rows, width)
+            expected, expected_pivots = reference_rref(rows, width)
+            assert pivots == expected_pivots
+            assert typed(reduced) == typed(expected)
+            deficient += len(pivots) < min(height, width)
+        assert deficient >= 12
+
+    def test_mixed_entries_keep_row_wise_types(self):
+        # dividing the pivot row by sqrt 5 turns its Fraction 0 into a field element
+        root_five = QuadraticFieldElement(0, 1, 5)
+        reduced, pivots = rref([[1, 0], [0, root_five]], 2)
+        assert pivots == [0, 1]
+        assert typed(reduced) == typed(reference_rref([[1, 0], [0, root_five]], 2)[0])
+        assert isinstance(reduced[1][0], QuadraticFieldElement)
+
+    def test_empty_shapes_and_ragged_rows(self):
+        assert rref([], 3) == ([], [])
+        assert rref([[], []], 0) == ([[], []], [])
+        with pytest.raises(DimensionError):
+            rref([[1, 2], [3]], 2)
+
+
+class TestReduceColumns:
+    def test_each_column_is_final_when_read(self):
+        # the reduced form of a column prefix is the prefix of the reduced form
+        rng = random.Random(37)
+        for trial in range(40):
+            height, width = rng.randint(1, 5), rng.randint(1, 5)
+            rows = random_matrix(rng, KINDS[trial % 4], height, width, trial % 3 == 0)
+            columns = [[row[c] for row in rows] for c in range(width)]
+            for c, (column, pivot_row) in enumerate(reduce_columns(columns, height)):
+                expected, pivots = reference_rref([row[: c + 1] for row in rows], c + 1)
+                assert typed([column]) == typed([[row[c] for row in expected]])
+                assert pivot_row == (len(pivots) - 1 if c in pivots else None)
+
+    def test_wrong_column_length(self):
+        with pytest.raises(DimensionError):
+            list(reduce_columns([[1, 2], [3]], 2))
 
 
 class TestLeadingPrincipalMinors:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfinite import linalg
 from cfinite.errors import DimensionError, InsufficientDataError
 from cfinite.recurrence import (
     descend_field,
@@ -25,6 +26,8 @@ from cfinite.seqcore import (
     QuadraticFieldElement,
     Sequence,
 )
+
+from test_linalg import reference_rref
 
 FIB_REC = LinearRecurrence((1, 1))
 
@@ -138,6 +141,95 @@ class TestGuessRecurrence:
                     for offset in range(1, len(seq) - 2 * k1 + 1)
                 ]
                 assert any(w != 0 for w in witnesses)
+
+
+def reference_guess(seq, max_order):
+    """The per-order loop guess_recurrence ran before one column pass: a
+    fresh row-wise elimination of each width-(k+1) window matrix."""
+    window_count = min(2 * max_order + 4, len(seq) - max_order)
+    for k in range(max_order + 1):
+        rows = [seq.window(n, k + 1) for n in range(1, window_count + 1)]
+        reduced, pivots = reference_rref(rows, k + 1)
+        if k in pivots:
+            continue
+        coeffs = [Fraction(0)] * k
+        for i, p in enumerate(pivots):
+            coeffs[p] = reduced[i][k]
+        candidate = LinearRecurrence(tuple(coeffs))
+        if verify(seq, candidate).passed:
+            return candidate
+    return None
+
+
+def typed_coefficients(rec):
+    return None if rec is None else [(type(c), c) for c in rec.coefficients]
+
+
+@pytest.fixture
+def columns_read(monkeypatch):
+    """Counts the columns each guess_recurrence call feeds reduce_columns."""
+    counts = []
+    feed = linalg.reduce_columns
+
+    def counting(columns, height):
+        counts.append(0)
+
+        def counted():
+            for column in columns:
+                counts[-1] += 1
+                yield column
+
+        return feed(counted(), height)
+
+    monkeypatch.setattr(linalg, "reduce_columns", counting)
+    return counts
+
+
+class TestGuessOnePass:
+    def test_matches_per_order_elimination(self, columns_read):
+        rng = random.Random(41)
+        found = corrupted = 0
+        for trial in range(300):
+            k = rng.randint(0, 4)
+            max_order = 0 if trial % 10 == 0 else rng.randint(1, 5)
+            rec = LinearRecurrence(
+                tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k))
+            )
+            initial = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)]
+            length = 2 * max_order + 1 + rng.randint(0, max_order + 4)
+            terms = iterate_recurrence(rec, initial, length) if k else [0] * length
+            if trial % 3 == 1:
+                terms[rng.randrange(length)] += Fraction(1, rng.randint(1, 3))
+                corrupted += 1
+            seq = Sequence("random", terms)
+            guessed = guess_recurrence(seq, max_order)
+            assert typed_coefficients(guessed) == typed_coefficients(reference_guess(seq, max_order))
+            assert columns_read[-1] == (max_order if guessed is None else guessed.order) + 1
+            found += guessed is not None
+        assert len(columns_read) == 300
+        assert 100 <= found <= 300 - 50 and corrupted == 100
+
+    def test_candidate_failing_verify_past_the_windows(self, columns_read):
+        # windows 1..10 cover terms up to b_13; the order-2 candidate fits them
+        # and fails at the corrupted last term, so the pass goes on to order 3
+        terms = list(fibonacci(30).terms)
+        terms[-1] += 1
+        seq = Sequence("fib-corrupted", terms)
+        assert verify(seq, FIB_REC, (1, 10)).passed and not verify(seq, FIB_REC).passed
+        assert guess_recurrence(seq, 3) is None
+        assert reference_guess(seq, 3) is None
+        assert columns_read == [4]
+
+    def test_quadratic_field_terms(self, columns_read):
+        phi = QuadraticFieldElement(Fraction(1, 2), Fraction(1, 2), 5)
+        powers = [phi]
+        while len(powers) < 16:
+            powers.append(powers[-1] * phi)
+        seq = Sequence("phi", powers)
+        guessed = guess_recurrence(seq, 4)
+        assert guessed.coefficients == (phi,) and guessed.field == "Q(sqrt(5))"
+        assert typed_coefficients(guessed) == typed_coefficients(reference_guess(seq, 4))
+        assert columns_read == [2]
 
 
 class TestHankelWitness:

@@ -1,6 +1,7 @@
 """Properties of the package source and of importing it."""
 
 import ast
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,9 @@ PACKAGE = Path(cfinite.__file__).resolve().parent
 def test_no_assert_statements():
     # `python -O` drops assert statements, so no check may rely on one
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in _module_trees().items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
@@ -43,6 +44,7 @@ assert "numpy" in sys.modules
     assert done.returncode == 0, done.stderr
 
 
+@functools.cache
 def _module_trees():
     return {
         path.name: ast.parse(path.read_text(), str(path))
@@ -74,6 +76,19 @@ def test_no_unused_imports():
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in used:
                         found.append(f"{name}:{node.lineno} {bound}")
+    assert found == []
+
+
+def test_no_process_wide_int_digit_limit_change():
+    # sys.set_int_max_str_digits changes the limit for every user of the
+    # interpreter; documents keep to the limit they are given
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _module_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "set_int_max_str_digits"
+    ]
     assert found == []
 
 
