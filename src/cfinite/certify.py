@@ -18,12 +18,15 @@ using nothing but exact Catalan values and the certificate fields:
   disagrees with the Catalan series at an explicit coefficient.
 
 Bundles serialize to canonical JSON (sorted keys, fixed separators) with a
-sha256 digest over the payload, so validation fails loudly on any edit.
+sha256 digest over the payload.  Anyone can recompute the digest, so it
+only detects edits; a forgery is caught because the validators recheck
+every field against the candidate, p by its identity at n = 1..3k+1.
 """
 
 import hashlib
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +34,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import CertificateError, ResourceLimitError
 from .gfseries import expand_rational, rational_gf, RationalFunction
-from .powersum import falling_factorial, linear_factor_product, Polynomial
+from .powersum import linear_factor_product, Polynomial
 from .recurrence import LinearRecurrence, normalize_coprime
 from .seqcore import catalan_closed, catalan_is_odd
 
@@ -101,61 +104,72 @@ def _candidate_rational(candidate: LinearRecurrence):
     return tuple(Fraction(c) for c in candidate.coefficients)
 
 
+def _catalan_table(start: int, count: int) -> list:
+    """[C_start, ..., C_{start+count-1}]."""
+    return [catalan_closed(n) for n in range(start, start + count)]
+
+
+def _window_sums(vector, start: int, count: int) -> list:
+    """[sum_j v_j C_{n+j} for n = start, ..., start + count - 1], from one
+    table.  For a candidate's coprime vector v (normalize_coprime) this is
+    -v_k > 0 times the residual sum_{j<k} a_j C_{n+j} - C_{n+k}."""
+    table = _catalan_table(start, count + len(vector) - 1)
+    return [sum(map(operator.mul, vector, table[i:])) for i in range(count)]
+
+
+def _first_residual(candidate: LinearRecurrence) -> tuple:
+    """(m, residual) for the first window m with a nonzero residual; it
+    comes by m = k + 1 (see refute_by_gf)."""
+    vector = normalize_coprime(candidate).entries
+    k = len(vector) - 1
+    sums = _window_sums(vector, 1, k + 1)
+    m = next((m for m, s in enumerate(sums, 1) if s), None)
+    if m is None:
+        raise CertificateError(f"no mismatch up to the proven bound 2k + 1 = {2 * k + 1}")
+    return m, Fraction(sums[m - 1], -vector[-1])
+
+
+def _parity_window(vector) -> tuple:
+    """(l, m, n, table): l the least index with a_l odd (the vector is
+    coprime), m the least exponent with 2**(m-1) > k, n = 2**m - l, and the
+    parities of a_j C_{n+j}.  The window n..n+k lies strictly between
+    2**(m-1) and 2**(m+1), so a_l C_{n+l} is its only odd summand."""
+    l = next(j for j, a in enumerate(vector) if a % 2)
+    m = (2 * (len(vector) - 1)).bit_length()
+    n = 2**m - l
+    table = tuple(1 if (a % 2 and catalan_is_odd(n + j)) else 0 for j, a in enumerate(vector))
+    return l, m, n, table
+
+
 def refute_by_parity(
     candidate: LinearRecurrence, exact_cap: int = EXACT_RESIDUAL_CAP
 ) -> ParityCertificate:
-    """Refute via the lone odd summand in a window around a power of two.
-
-    m is the least exponent with 2**(m-1) > k, which puts the whole window
-    n, ..., n + k strictly between 2**(m-1) and 2**(m+1), so n + l is the
-    only power of two it contains.
-    """
+    """Refute via the lone odd summand in a window around a power of two."""
     _candidate_rational(candidate)
     vector = normalize_coprime(candidate).entries
-    k = len(vector) - 1
-    l = next(j for j, a in enumerate(vector) if a % 2)
-    m = (2 * k).bit_length()
-    n = 2**m - l
-    table = tuple(
-        1 if (a % 2 and catalan_is_odd(n + j)) else 0 for j, a in enumerate(vector)
-    )
-    residual = None
-    if n + k <= exact_cap:
-        residual = sum(a * catalan_closed(n + j) for j, a in enumerate(vector))
+    l, m, n, table = _parity_window(vector)
+    residual = _window_sums(vector, n, 1)[0] if n + len(vector) - 1 <= exact_cap else None
     cert = ParityCertificate(vector, l, m, n, table, residual)
     validate_parity(cert)
     return cert
 
 
 def validate_parity(cert: ParityCertificate) -> None:
-    """Recheck a parity certificate from its fields and exact Catalan data."""
+    """Recheck a parity certificate from its fields and exact Catalan data.
+    The window is derived from the vector and compared before any Catalan
+    value is computed, so a forged exponent or start costs nothing."""
     vector = cert.coprime_vector
-    k = len(vector) - 1
-    if k < 0 or vector[-1] == 0:
+    if not vector or vector[-1] == 0:
         raise CertificateError("coefficient vector must end in a nonzero entry")
     if math.gcd(*vector) != 1:
         raise CertificateError("coefficient vector is not coprime")
-    l, m, n = cert.odd_index, cert.exponent, cert.window_start
-    if not 0 <= l <= k:
-        raise CertificateError(f"odd index {l} outside 0..{k}")
-    if vector[l] % 2 == 0:
-        raise CertificateError(f"entry a_{l} = {vector[l]} is even")
-    if n < 1 or n + l != 2**m:
-        raise CertificateError(f"window start {n} + {l} != 2**{m}")
-    powers = [j for j in range(k + 1) if catalan_is_odd(n + j)]
-    if powers != [l]:
-        raise CertificateError(
-            f"window must contain exactly one power of two at offset {l}, found {powers}"
-        )
-    expected = tuple(
-        1 if (a % 2 and catalan_is_odd(n + j)) else 0 for j, a in enumerate(vector)
-    )
-    if cert.parity_table != expected:
-        raise CertificateError("parity table does not match recomputed parities")
-    if sum(expected) != 1 or expected[l] != 1:
+    derived = _parity_window(vector)
+    if (cert.odd_index, cert.exponent, cert.window_start, cert.parity_table) != derived:
+        raise CertificateError(f"window or parity table is not {derived} derived from the vector")
+    if sum(cert.parity_table) != 1:
         raise CertificateError("window does not isolate exactly one odd summand")
     if cert.residual is not None:
-        recomputed = sum(a * catalan_closed(n + j) for j, a in enumerate(vector))
+        recomputed = _window_sums(vector, cert.window_start, 1)[0]
         if cert.residual != recomputed:
             raise CertificateError(
                 f"stored residual {cert.residual} != recomputed {recomputed}"
@@ -179,8 +193,9 @@ def summand_polynomial(order: int, j: int) -> Polynomial:
 
 
 def polynomial_certificate_value(order: int) -> int:
-    """The closed form (-1) * (-1)_k * (-2)_{2k} for p(-k)."""
-    return -falling_factorial(order)(-1) * falling_factorial(2 * order)(-2)
+    """The closed form (-1) * (-1)_k * (-2)_{2k} for p(-k), in integers:
+    (-1)_k = (-1)**k k! and (-2)_{2k} = (2k+1)!."""
+    return -((-1) ** order) * math.factorial(order) * math.factorial(2 * order + 1)
 
 
 def candidate_residual(coefficients, n: int) -> Fraction:
@@ -195,6 +210,8 @@ def candidate_residual(coefficients, n: int) -> Fraction:
 def refute_by_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
     """Refute via the polynomial identity; needs order k >= 1.
 
+    The witness n* is the first window with a nonzero Catalan residual,
+    which is the first n >= 1 with p(n) != 0 (see validate_polynomial).
     Order 0 has no summation structure to turn into a polynomial; its
     refutation is the trivial residual C_1 = 1 != 0 through the parity
     engine.
@@ -207,69 +224,58 @@ def refute_by_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
     p = Polynomial()
     for j, a in enumerate(weights):
         p = p + summand_polynomial(k, j) * a
-    value = p(-k)
-    expected = polynomial_certificate_value(k)
-    if value != expected:
-        raise CertificateError(f"p(-{k}) = {value}, closed form {expected}")
-    witness = next(n for n in range(1, 3 * k + 2) if p(n) != 0)
-    residual = candidate_residual(coefficients, witness)
-    if residual == 0:
-        raise CertificateError("nonzero p(n*) forces a nonzero residual")
-    cert = PolynomialCertificate(k, coefficients, p, Fraction(value), witness, residual)
+    witness, residual = _first_residual(candidate)
+    cert = PolynomialCertificate(k, coefficients, p, Fraction(p(-k)), witness, residual)
     validate_polynomial(cert)
     return cert
 
 
-def _residual_multiplier(order: int, n: int) -> Fraction:
-    """(n+k)_{k+1} * ((n+k-1)!)**2 / (2n-2)! as an exact rational."""
-    k = order
-    return Fraction(
-        falling_factorial(k + 1)(n + k) * math.factorial(n + k - 1) ** 2,
-        math.factorial(2 * n - 2),
-    )
-
-
 def validate_polynomial(cert: PolynomialCertificate) -> None:
-    """Recheck a polynomial certificate from its fields and exact data."""
+    """Recheck a polynomial certificate from its fields and exact data.
+
+    p(n) = M(k, n) * residual(n) with M(k, n) = (n+k)_{k+1} ((n+k-1)!)**2 /
+    (2n-2)! > 0 is checked at n = 1..3k+1, in integers (P = scale * p, and
+    S(n) = -v_k * residual(n) from _window_sums); with deg p <= 3k this
+    proves p is the candidate's polynomial.
+    """
     k = cert.order
     if k < 1 or len(cert.coefficients) != k:
         raise CertificateError(f"need k >= 1 coefficients, got order {k}")
     p = cert.polynomial
-    if p.is_zero or p.degree > 3 * k:
-        raise CertificateError(f"certificate polynomial must be nonzero of degree <= {3 * k}")
-    if p(-k) != cert.value_at_minus_order:
+    if p.degree > 3 * k:
+        raise CertificateError(f"certificate polynomial must have degree <= {3 * k}")
+    ints, scale = linalg.clear_denominators(p.coeffs)
+    integer_p = Polynomial(ints)
+    if Fraction(integer_p(-k), scale) != cert.value_at_minus_order:
         raise CertificateError("stored value at -k does not match the polynomial")
     if cert.value_at_minus_order != polynomial_certificate_value(k):
         raise CertificateError("value at -k does not match the closed form")
     n = cert.witness_index
     if not 1 <= n <= 3 * k + 1:
         raise CertificateError(f"witness index {n} outside 1..{3 * k + 1}")
-    if p(n) == 0:
-        raise CertificateError(f"polynomial vanishes at the witness index {n}")
-    residual = candidate_residual(cert.coefficients, n)
+    vector = normalize_coprime(LinearRecurrence(cert.coefficients)).entries
+    sums = _window_sums(vector, 1, 3 * k + 1)
+    for m, s in enumerate(sums, 1):
+        lhs = integer_p(m) * -vector[-1] * math.factorial(2 * m - 2)
+        rhs = s * scale * math.perm(m + k, k + 1) * math.factorial(m + k - 1) ** 2
+        if lhs != rhs:
+            raise CertificateError(f"p({m}) != M({k}, {m}) * residual({m}): not the candidate's p")
+    residual = Fraction(sums[n - 1], -vector[-1])
     if residual != cert.residual:
         raise CertificateError(f"stored residual {cert.residual} != recomputed {residual}")
     if residual == 0:
         raise CertificateError("residual must be nonzero")
-    if p(n) != residual * _residual_multiplier(k, n):
-        raise CertificateError("polynomial value and residual disagree at the witness")
 
 
 def _catalan_hankel_minors(offset: int, order_bound: int) -> list:
-    """Order-k Catalan window determinants at `offset` for every k <= bound.
-
-    The order-k window matrix (C_{offset+i+j}), i, j = 0..k, is the leading
-    block of the order-bound one, so one fraction-free pass over the terms
-    C_offset..C_{offset+2*bound} gives entry k for every k; the list stops
-    at the first zero minor (see linalg.leading_principal_minors).
-    """
-    terms = [catalan_closed(n) for n in range(offset, offset + 2 * order_bound + 1)]
-    rows = [terms[i : i + order_bound + 1] for i in range(order_bound + 1)]
-    return linalg.leading_principal_minors(rows)
+    """Order-k Catalan window determinants at `offset` for every k <= bound,
+    from one pass over C_offset..C_{offset+2*bound} (see linalg.hankel_minors)."""
+    return linalg.hankel_minors(_catalan_table(offset, 2 * order_bound + 1))
 
 
 def refute_by_hankel(order_bound: int) -> HankelCertificate:
-    """Nonzero exact Catalan window determinants for every order <= bound."""
+    """Nonzero exact Catalan window determinants for every order <= bound;
+    the pass stops at the first zero minor, so a nonzero last one suffices."""
     if order_bound < 0:
         raise ValueError(f"need order bound >= 0, got {order_bound}")
     minors = _catalan_hankel_minors(1, order_bound)
@@ -277,11 +283,7 @@ def refute_by_hankel(order_bound: int) -> HankelCertificate:
         raise CertificateError(
             f"unexpected singular Catalan window at order {len(minors) - 1}"
         )
-    cert = HankelCertificate(
-        order_bound, tuple((k, 1, det) for k, det in enumerate(minors))
-    )
-    validate_hankel(cert)
-    return cert
+    return HankelCertificate(order_bound, tuple((k, 1, det) for k, det in enumerate(minors)))
 
 
 def validate_hankel(cert: HankelCertificate) -> None:
@@ -324,27 +326,21 @@ def validate_hankel(cert: HankelCertificate) -> None:
 def refute_by_gf(candidate: LinearRecurrence) -> GfMismatchCertificate:
     """Refute via the first coefficient where the implied series fails.
 
-    The candidate together with the initial terms C_1..C_k forces a
-    rational generating function; its expansion must leave the Catalan
-    series by index 2k + 1, because a series matching C_1..C_{2k+1} would
-    make the order-k Catalan window matrix at offset 1 singular, and its
-    determinant is nonzero (see refute_by_hankel).
+    The candidate and C_1..C_k force a rational generating function whose
+    coefficients iterate the recurrence from those terms, so they first
+    leave C_n at n = k + m, m the first window with a nonzero residual,
+    with the value C_{k+m} + residual(m).  That is by 2k + 1, because a
+    series matching C_1..C_{2k+1} would make the order-k Catalan window
+    matrix at offset 1 singular, and its determinant is nonzero.
     """
     _candidate_rational(candidate)
     k = candidate.order
-    initial = tuple(catalan_closed(n) for n in range(1, k + 1))
-    rf = rational_gf(candidate, initial)
-    depth = 2 * k + 1
-    expansion = expand_rational(rf, depth)
-    for n in range(depth + 1):
-        catalan = 0 if n == 0 else catalan_closed(n)
-        if expansion.coefficient(n) != catalan:
-            cert = GfMismatchCertificate(
-                rf.numerator, rf.denominator, n, expansion.coefficient(n), catalan
-            )
-            validate_gf(cert)
-            return cert
-    raise CertificateError(f"no mismatch up to the proven bound 2k + 1 = {depth}")
+    rf = rational_gf(candidate, _catalan_table(1, k))
+    m, residual = _first_residual(candidate)
+    catalan = catalan_closed(k + m)
+    cert = GfMismatchCertificate(rf.numerator, rf.denominator, k + m, catalan + residual, catalan)
+    validate_gf(cert)
+    return cert
 
 
 def validate_gf(cert: GfMismatchCertificate) -> None:
@@ -655,8 +651,6 @@ def _check_candidate_link(cert, candidate: LinearRecurrence) -> None:
                 f"hankel bound {cert.order_bound} below candidate order {candidate.order}"
             )
     elif isinstance(cert, GfMismatchCertificate):
-        k = candidate.order
-        initial = tuple(catalan_closed(n) for n in range(1, k + 1))
-        implied = rational_gf(candidate, initial)
+        implied = rational_gf(candidate, _catalan_table(1, candidate.order))
         if (cert.numerator, cert.denominator) != (implied.numerator, implied.denominator):
             raise CertificateError("stored p/q is not the candidate's generating function")

@@ -185,15 +185,12 @@ def _hankel_evidence(seq: Sequence, max_order: int):
     offset whose square order-k window matrix is nonsingular.  The terms
     must reach b_{2K+1}, K = max_order.
 
-    The offset-1 matrices are the leading blocks of one Hankel matrix, so
-    one fraction-free pass over b_1..b_{2K+1}, scaled to integers by s,
-    gives every order-k minor as minor_k / s**(k+1).  Orders at or past the
+    One pass over b_1..b_{2K+1}, scaled to integers by s (linalg.hankel_minors),
+    gives every offset-1 minor as minor_k / s**(k+1).  Orders at or past the
     first zero minor search further offsets one determinant at a time.
     """
     ints, scale = linalg.clear_denominators(seq.terms[: 2 * max_order + 1])
-    minors = linalg.leading_principal_minors(
-        [ints[i : i + max_order + 1] for i in range(max_order + 1)]
-    )
+    minors = linalg.hankel_minors(ints)
     evidence = []
     for k in range(max_order + 1):
         found = None

@@ -171,6 +171,14 @@ def leading_principal_minors(matrix) -> list:
     return pivots
 
 
+def hankel_minors(terms) -> list:
+    """Leading principal minors of the Hankel matrix (terms[i+j]), i, j = 0..K,
+    of 2K + 1 integer terms: the order-k window matrix of the terms is its
+    leading block, so one pass gives every order (see leading_principal_minors)."""
+    order = len(terms) // 2
+    return leading_principal_minors([terms[i : i + order + 1] for i in range(order + 1)])
+
+
 def clear_denominators(values):
     """Integers proportional to int / Fraction values, and the scale used.
 

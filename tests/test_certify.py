@@ -1,11 +1,13 @@
 """Refutation engines, validators, and certificate serialization."""
 
 import dataclasses
+import functools
 import json
 import math
 import random
 import re
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -37,7 +39,7 @@ from cfinite.certify import (
     validate_serialized,
 )
 from cfinite.errors import CertificateError, ResourceLimitError
-from cfinite.gfseries import catalan_gf, expand_rational, rational_gf
+from cfinite.gfseries import expand_rational, rational_gf
 from cfinite.powersum import Polynomial
 from cfinite.recurrence import guess_recurrence, hankel_nonsingular_witness, LinearRecurrence
 from cfinite.seqcore import catalan_closed, catalan_convolution
@@ -86,6 +88,33 @@ NUMBER_TYPE_FORGERIES = {
     ),
     "long_integer": lambda text: text.replace('"residual":3', '"residual":' + "1" * 5000, 1),
 }
+
+
+# Orders of the polynomial-field forgery tests.
+FORGERY_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 24)
+
+
+@functools.cache
+def genuine_text(k: int) -> str:
+    """A serialized refute_all bundle of a random order-k candidate."""
+    rng = random.Random(37 + k)
+    coeffs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k))
+    return serialize_bundle(refute_all(LinearRecurrence(coeffs)))
+
+
+def forge_polynomial(cert, extra_degree=0):
+    """Add 7(x+k)(x-n*) x**extra_degree to p: p(-k) and p(n*) keep their values."""
+    k, n = cert.order, cert.witness_index
+    added = Polynomial((-7 * k * n, 7 * (k - n), 7)) * Polynomial((0,) * extra_degree + (1,))
+    return dataclasses.replace(cert, polynomial=cert.polynomial + added)
+
+
+def forged_polynomial_text(k: int, extra_degree=0) -> str:
+    """genuine_text(k) with its polynomial field forged, digest recomputed."""
+    text = genuine_text(k)
+    forged = forge_polynomial(parse_bundle(text).certificates[1], extra_degree)
+    fields = certificate_to_fields(forged)
+    return _forge_fields(text, lambda doc: doc["certificates"].__setitem__(1, fields))
 
 
 class TestParityEngine:
@@ -144,6 +173,20 @@ class TestParityEngine:
             with pytest.raises(CertificateError):
                 validate_certificate(mutant)
 
+    def test_forged_window_refused_before_it_is_computed(self):
+        # a validator that trusted these fields would build 2**(10**10), or
+        # C_n at n = 2**40 - 1 (a consistent window: 2**40 is its lone power)
+        text = serialize_bundle(refute_all(TIMES_FOUR))
+        forgeries = [
+            _forge_fields(text, _set_parity(exponent=10**10)),
+            _forge_fields(text, _set_parity(exponent=40, window_start=2**40 - 1)),
+        ]
+        for forged in forgeries:
+            start = time.perf_counter()
+            with pytest.raises(CertificateError, match="derived from the vector"):
+                validate_serialized(forged)
+            assert time.perf_counter() - start < 1
+
 
 class TestPolynomialEngine:
     def test_worked_instance_order_one(self):
@@ -195,6 +238,23 @@ class TestPolynomialEngine:
             with pytest.raises(CertificateError):
                 validate_certificate(mutant)
 
+    @pytest.mark.parametrize("k", FORGERY_ORDERS)
+    def test_polynomial_forgery_rejected(self, k):
+        cert = parse_bundle(genuine_text(k)).certificates[1]
+        forged = forge_polynomial(cert)
+        assert forged.polynomial(-k) == cert.value_at_minus_order
+        assert forged.polynomial(cert.witness_index) == cert.polynomial(cert.witness_index)
+        with pytest.raises(CertificateError, match="not the candidate's"):
+            validate_certificate(forged)
+        with pytest.raises(CertificateError, match="not the candidate's"):
+            validate_serialized(forged_polynomial_text(k))
+        raised = forge_polynomial(cert, extra_degree=3 * k - 1)
+        assert raised.polynomial.degree == 3 * k + 1
+        with pytest.raises(CertificateError, match=f"degree <= {3 * k}"):
+            validate_certificate(raised)
+        with pytest.raises(CertificateError, match=f"degree <= {3 * k}"):
+            validate_serialized(forged_polynomial_text(k, extra_degree=3 * k - 1))
+
 
 class TestHankelEngine:
     def test_order_zero(self):
@@ -209,6 +269,18 @@ class TestHankelEngine:
         cert = refute_by_hankel(10)
         assert len(cert.witnesses) == 11
         assert all(det != 0 for _, _, det in cert.witnesses)
+
+    def test_engine_makes_one_pass(self, monkeypatch):
+        bounds = []
+        minors = certify_module._catalan_hankel_minors
+
+        def counting(offset, bound):
+            bounds.append(bound)
+            return minors(offset, bound)
+
+        monkeypatch.setattr(certify_module, "_catalan_hankel_minors", counting)
+        refute_by_hankel(6)
+        assert bounds == [6]
 
     def test_cofactor_oracle(self):
         seq = catalan_convolution(10)
@@ -335,9 +407,36 @@ class TestGfEngine:
             assert certificate_to_fields(refute_by_gf(candidate)) == certificate_to_fields(oracle)
 
     def test_no_mismatch_within_bound_raises(self, monkeypatch):
-        monkeypatch.setattr(certify_module, "expand_rational", lambda rf, depth: catalan_gf(depth))
+        # every residual is forced to 0, as if the series matched C_1..C_{2k+1}
+        monkeypatch.setattr(
+            certify_module, "_window_sums", lambda vector, start, count: [0] * count
+        )
         with pytest.raises(CertificateError, match="proven bound"):
             refute_by_gf(TIMES_FOUR)
+
+    def test_mismatch_is_the_polynomial_witness(self):
+        # the series leaves the Catalan one at the first window with a
+        # nonzero residual: index k + n*, value C_{k+n*} + residual
+        rng = random.Random(41)
+        candidates = []
+        for _ in range(100):
+            k = rng.randint(1, 6)
+            coeffs = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k))
+            candidates.append(tuple(coeffs))
+        exact_fits = []
+        for k in (2, 5, 9):
+            rows = [[catalan_closed(n + j) for j in range(k)] for n in range(1, k + 1)]
+            rhs = [catalan_closed(n + k) for n in range(1, k + 1)]
+            exact_fits.append(linalg.solve(rows, rhs))
+        for coeffs in candidates + exact_fits:
+            candidate = LinearRecurrence(coeffs)
+            poly, gf = refute_by_polynomial(candidate), refute_by_gf(candidate)
+            k = len(coeffs)
+            assert gf.mismatch_index == k + poly.witness_index
+            assert gf.series_value == gf.catalan_value + poly.residual
+            assert poly.residual == candidate_residual(coeffs, poly.witness_index)
+            if coeffs in exact_fits:
+                assert poly.witness_index == k + 1
 
     def test_validator_rejects_mutations(self):
         cert = refute_by_gf(TIMES_FOUR)

@@ -11,7 +11,12 @@ from cfinite.cli import _hankel_evidence, ingest_bfile, main, parse_bfile, parse
 from cfinite.errors import BFileError
 from cfinite.recurrence import guess_recurrence, hankel_nonsingular_witness
 from cfinite.seqcore import catalan_convolution, fibonacci, Sequence
-from test_certify import BIG_DENOMINATORS, NUMBER_TYPE_FORGERIES
+from test_certify import (
+    BIG_DENOMINATORS,
+    FORGERY_ORDERS,
+    forged_polynomial_text,
+    NUMBER_TYPE_FORGERIES,
+)
 
 
 def run(capsys, *argv):
@@ -296,6 +301,14 @@ class TestValidateCommand:
         path = tmp_path / "cert.json"
         run(capsys, "refute", "4", "--output", str(path))
         path.write_text(NUMBER_TYPE_FORGERIES[form](path.read_text()))
+        code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
+        assert code == 1
+        assert json.loads(out)["status"] == "invalid"
+
+    @pytest.mark.parametrize("k", FORGERY_ORDERS)
+    def test_polynomial_forgery_is_invalid(self, capsys, tmp_path, k):
+        path = tmp_path / "cert.json"
+        path.write_text(forged_polynomial_text(k))
         code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
         assert code == 1
         assert json.loads(out)["status"] == "invalid"

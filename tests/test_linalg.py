@@ -10,6 +10,7 @@ from cfinite.errors import DimensionError
 from cfinite.linalg import (
     clear_denominators,
     determinant,
+    hankel_minors,
     leading_principal_minors,
     reduce_columns,
     rref,
@@ -146,6 +147,15 @@ class TestLeadingPrincipalMinors:
     def test_hilbert_like_integer_matrix(self):
         matrix = [[i + j + 1 for j in range(4)] for i in range(4)]
         assert leading_principal_minors(matrix) == [1, -1, 0]
+
+    def test_hankel_minors(self):
+        rng = random.Random(5)
+        for order in range(6):
+            terms = [rng.randint(-9, 9) for _ in range(2 * order + 1)]
+            matrix = [[terms[i + j] for j in range(order + 1)] for i in range(order + 1)]
+            assert hankel_minors(terms) == leading_principal_minors(matrix)
+        with pytest.raises(DimensionError):
+            hankel_minors([1, 2, 3, 4])
 
     def test_shapes_and_types(self):
         assert leading_principal_minors([]) == []
