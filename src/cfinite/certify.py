@@ -293,20 +293,25 @@ def validate_hankel(cert: HankelCertificate) -> None:
     the largest order that uses the offset.  Catalan Hankel minors are
     positive at every offset (Aigner, JCTA 87, 1999), so no genuine
     certificate needs a witness at or past a zero minor; such a witness is
-    rejected.
+    rejected.  The witness count and every offset are checked before any
+    range or Catalan value is built: an offset is at most 2K + 1 (K the
+    bound), so no window reads past C_{4K+1}, as the polynomial check does.
     """
-    orders = [w[0] for w in cert.witnesses]
-    if orders != list(range(cert.order_bound + 1)):
+    bound = cert.order_bound
+    if bound < 0 or len(cert.witnesses) != bound + 1:
         raise CertificateError(
-            f"witnesses must cover orders 0..{cert.order_bound}, found {orders}"
+            f"{len(cert.witnesses)} witness(es) cannot cover orders 0..{bound}"
         )
+    orders = [w[0] for w in cert.witnesses]
+    if orders != list(range(bound + 1)):
+        raise CertificateError(f"witnesses must cover orders 0..{bound}, found {orders}")
     largest = {}
     for k, offset, _ in cert.witnesses:
+        if not 1 <= offset <= 2 * bound + 1:
+            raise CertificateError(f"offset {offset} outside 1..{2 * bound + 1}")
         largest[offset] = max(largest.get(offset, k), k)
     minors = {}
     for k, offset, det in cert.witnesses:
-        if offset < 1:
-            raise CertificateError(f"offset {offset} must be >= 1")
         if det == 0:
             raise CertificateError(f"zero determinant certifies nothing at order {k}")
         if offset not in minors:
@@ -344,25 +349,35 @@ def refute_by_gf(candidate: LinearRecurrence) -> GfMismatchCertificate:
 
 
 def validate_gf(cert: GfMismatchCertificate) -> None:
-    """Recheck the mismatching coefficient from the stored p/q."""
+    """Recheck that the series of the stored p/q first leaves the Catalan
+    one at the stored index, with the stored values.
+
+    The index is bounded before anything is expanded.  With q(0) = 1,
+    e = deg q and d = max(deg p, e), a series matching C_1..C_{2d+1} would
+    satisfy the recurrence of q from index d + 1 on, so the order-e Catalan
+    window matrix at offset d + 1 - e >= 1 would have the kernel vector
+    (q_e, ..., q_1, 1); Catalan Hankel minors are positive at every offset
+    (see validate_hankel), so the first mismatch is at most 2d + 1.
+    """
     if cert.denominator(0) == 0:
         raise CertificateError("denominator must be nonzero at 0")
     rf = RationalFunction(cert.numerator, cert.denominator)
+    bound = 2 * max(rf.numerator.degree, rf.denominator.degree) + 1
     n = cert.mismatch_index
-    if n < 0:
-        raise CertificateError(f"mismatch index {n} must be >= 0")
-    expansion = expand_rational(rf, n)
-    if expansion.coefficient(n) != cert.series_value:
+    if not 1 <= n <= bound:
+        raise CertificateError(f"mismatch index {n} outside 1..{bound}")
+    series = expand_rational(rf, n).coefficients[1:]
+    catalan = _catalan_table(1, n)
+    first = next((i for i, (s, c) in enumerate(zip(series, catalan), 1) if s != c), None)
+    if first != n:
+        found = f"it leaves C_{first} first" if first else f"it matches C_1..C_{n}"
+        raise CertificateError(f"mismatch index {n} is not the series' first departure: {found}")
+    if series[-1] != cert.series_value:
         raise CertificateError(
-            f"stored series value {cert.series_value} != recomputed {expansion.coefficient(n)}"
+            f"stored series value {cert.series_value} != recomputed {series[-1]}"
         )
-    catalan = 0 if n == 0 else catalan_closed(n)
-    if catalan != cert.catalan_value:
-        raise CertificateError(
-            f"stored Catalan value {cert.catalan_value} != exact {catalan}"
-        )
-    if cert.series_value == cert.catalan_value:
-        raise CertificateError("the two coefficients do not differ")
+    if catalan[-1] != cert.catalan_value:
+        raise CertificateError(f"stored Catalan value {cert.catalan_value} != exact {catalan[-1]}")
 
 
 _VALIDATORS = {
@@ -621,6 +636,8 @@ def validate_document(doc: dict) -> RefutationBundle:
     if doc["sha256"] != digest:
         raise CertificateError("payload digest mismatch; the document was altered")
     bundle = document_to_bundle(doc)
+    if not bundle.certificates:
+        raise CertificateError("document carries no certificate")
     order = doc["candidate"].get("order")
     if type(order) is not int or order != bundle.candidate.order:
         raise CertificateError("candidate order does not match its coefficient list")

@@ -129,17 +129,11 @@ def _cmd_catalan(args) -> CommandResult:
         convolution = _catalan_values("convolution", count, args.ballot_cap)
         holonomic = _catalan_values("holonomic", count, args.ballot_cap)
         agree = closed == convolution == holonomic
-        ballot_top = min(count, args.ballot_cap)
-        ballot_checked = False
-        ballot_agree = True
-        if ballot_top >= 2:
-            ballot_checked = True
-            for n in range(2, ballot_top + 1):
-                if seqcore.catalan_ballot(n, args.ballot_cap) != closed[n - 1]:
-                    ballot_agree = False
-        agree = agree and ballot_agree
         note = f"closed, convolution, holonomic on 1..{count}"
-        if ballot_checked:
+        ballot_top = min(count, args.ballot_cap)
+        if ballot_top >= 2:
+            ballot = _catalan_values("ballot", ballot_top, args.ballot_cap)
+            agree = agree and ballot[1:] == closed[1:ballot_top]
             note += f"; ballot on 2..{ballot_top}"
             if ballot_top < count:
                 note += f" (skipped above the n <= {args.ballot_cap} cap)"
@@ -293,10 +287,6 @@ def _cmd_refute(args) -> CommandResult:
             hankel_bound=args.max_order,
         )
     else:
-        if args.method == "poly" and candidate.order == 0:
-            raise ValueError(
-                "the polynomial engine needs order >= 1; order 0 is refuted by parity"
-            )
         cert = _REFUTE_ENGINES[args.method](candidate, args)
         bundle = certify.RefutationBundle(candidate, (cert,))
     doc = certify.bundle_to_document(bundle)
@@ -310,7 +300,7 @@ def _cmd_refute(args) -> CommandResult:
         lines.append("  " + _CERT_SUMMARY[type(cert)](cert))
     lines.append(f"{len(bundle.certificates)} certificate(s), all validated")
     if args.output:
-        Path(args.output).write_text(certify.serialize_bundle(bundle))
+        Path(args.output).write_text(certify._canonical_json(doc) + "\n")
         lines.append(f"wrote {args.output}")
     return CommandResult(doc, lines)
 
@@ -328,17 +318,12 @@ def _cmd_binet(args) -> CommandResult:
     coefficients = parse_rational_list(args.coefficients)
     candidate = LinearRecurrence(coefficients)
     initial = parse_rational_list(args.initial) if args.initial else ()
-    zero_roots = 0
-    for c in coefficients:
-        if c != 0:
-            break
-        zero_roots += 1
-    if zero_roots and candidate.order and args.on_zero_root == "error":
+    ps = powersum.binet_form(candidate, initial)
+    if ps.valid_from > 1 and args.on_zero_root == "error":
         raise ValueError(
             "characteristic polynomial has root 0 (leading coefficients vanish); "
             "rerun with --on-zero-root drop to shift past it"
         )
-    ps = powersum.binet_form(candidate, initial)
     lines = [f"recurrence: {candidate}"]
     char = powersum.characteristic_polynomial(candidate)
     lines.append(f"characteristic polynomial: {char}")

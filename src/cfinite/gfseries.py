@@ -155,10 +155,8 @@ def rational_gf(rec: LinearRecurrence, initial_terms) -> RationalFunction:
     if not rec.is_rational():
         raise ValueError("rational generating functions need rational coefficients")
     q = Polynomial((Fraction(1),) + tuple(-c for c in reversed(rec.coefficients)))
-    b_prefix = Polynomial((Fraction(0),) + tuple(Fraction(t) for t in initial))
-    full = q * b_prefix
-    p = Polynomial(full.coeffs[: k + 1])
-    rf = RationalFunction(p, q)
+    b_prefix = (Fraction(0),) + tuple(Fraction(t) for t in initial)
+    rf = RationalFunction(Polynomial(convolve(q.coeffs, b_prefix, k + 1)), q)
     depth = 3 * k + 10
     expansion = expand_rational(rf, depth)
     expected = iterate_recurrence(rec, initial, depth)
@@ -208,11 +206,7 @@ def pade_reconstruct(seq: Sequence, num_degree: int, den_degree: int):
     if q_vec is None:
         return None
     q = Polynomial(q_vec)
-    p_coeffs = [
-        sum(q.coefficient(i) * c[m - i] for i in range(min(m, den_degree) + 1))
-        for m in range(num_degree + 1)
-    ]
-    rf = RationalFunction(Polynomial(tuple(p_coeffs)), q)
+    rf = RationalFunction(Polynomial(convolve(q.coeffs, c, num_degree + 1)), q)
     expansion = expand_rational(rf, terms)
     if any(expansion.coefficient(n) != c[n] for n in range(terms + 1)):
         return None

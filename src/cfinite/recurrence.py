@@ -256,9 +256,10 @@ def descend_field(
     """Replace extension-field coefficients by rational ones, order k' <= k.
 
     The rational window vectors annihilated by the extension-field
-    coefficient vector span a space of dimension < k+1; the first vector of
-    a rational kernel basis of the window matrix then yields the rational
-    recurrence, which is verified against all supplied terms.
+    coefficient vector span a space of dimension < k+1, so the rational
+    width-(k+1) window matrix is singular: guess_recurrence's column pass
+    over it finds the least-order rational recurrence verified on all
+    supplied terms.
     """
     k = rec.order
     if window_count < k + 2:
@@ -270,18 +271,10 @@ def descend_field(
         raise ValueError(
             f"input recurrence fails on window {check.failed_index}: residual {check.residual}"
         )
-    wm = WindowMatrix.from_sequence(seq, k + 1, window_count)
-    basis = linalg.kernel_basis(wm.rows, k + 1)
-    if not basis:
-        raise ArithmeticError("annihilated windows cannot have full rank")
-    astar = basis[0]
-    k_prime = max(j for j in range(k + 1) if astar[j] != 0)
-    lead = astar[k_prime]
-    result = LinearRecurrence(tuple(-astar[j] / lead for j in range(k_prime)))
-    final = verify(seq, result)
-    if not final.passed:
+    result = guess_recurrence(seq, k, window_count)
+    if result is None:
         raise ValueError(
-            f"descended recurrence fails at window {final.failed_index}; "
+            f"no rational recurrence of order <= {k} verifies on all {len(seq)} terms; "
             "supply more windows so the rank profile stabilizes"
         )
     return result

@@ -39,7 +39,7 @@ from cfinite.certify import (
     validate_serialized,
 )
 from cfinite.errors import CertificateError, ResourceLimitError
-from cfinite.gfseries import expand_rational, rational_gf
+from cfinite.gfseries import expand_rational, rational_gf, RationalFunction
 from cfinite.powersum import Polynomial
 from cfinite.recurrence import guess_recurrence, hankel_nonsingular_witness, LinearRecurrence
 from cfinite.seqcore import catalan_closed, catalan_convolution
@@ -87,6 +87,60 @@ NUMBER_TYPE_FORGERIES = {
         text, _set_coefficient(math.inf), ("Infinity", "1e400")
     ),
     "long_integer": lambda text: text.replace('"residual":3', '"residual":' + "1" * 5000, 1),
+}
+
+
+def _set_kind(kind, edit):
+    """Apply `edit` to the document's first certificate of this kind."""
+    return lambda doc: edit(next(c for c in doc["certificates"] if c["kind"] == kind))
+
+
+def _forge_kind(candidate, kind, **fields):
+    text = serialize_bundle(refute_all(candidate))
+    return _forge_fields(text, _set_kind(kind, lambda cert: cert.update(fields)))
+
+
+def _forge_first_offset(offset):
+    text = serialize_bundle(refute_all(TIMES_FOUR))
+    return _forge_fields(
+        text, _set_kind("hankel", lambda cert: cert["witnesses"][0].update(offset=offset))
+    )
+
+
+def _forge_certificates(value):
+    text = serialize_bundle(refute_all(TIMES_FOUR))
+    return _forge_fields(text, lambda doc: doc.update(certificates=value))
+
+
+# Re-digested documents that fuzzing found validating, or escaping with an
+# uncaught exception, or expanding without end; each must be refused with
+# CertificateError in well under a second, with the reason's pattern.
+HOLE_FORGERIES = {
+    "hankel_order_bound": (
+        lambda: _forge_kind(TIMES_FOUR, "hankel", order_bound=10**30),
+        "cannot cover orders",
+    ),
+    "hankel_offset": (lambda: _forge_first_offset(10**30), "outside 1..3"),
+    "hankel_offset_past_bound": (lambda: _forge_first_offset(4), "outside 1..3"),
+    "empty_certificate_list": (lambda: _forge_certificates([]), "no certificate"),
+    "empty_certificate_object": (lambda: _forge_certificates({}), "no certificate"),
+    "gf_far_index": (
+        lambda: _forge_kind(TIMES_FOUR, "gf-mismatch", mismatch_index=10**11),
+        "outside 1..3",
+    ),
+    # the series of x/(1 - 4x) is 1, 4, 16, ...: it leaves C_2 = 1 first,
+    # and 16 != C_3 = 2 is a true but later mismatch
+    "gf_later_index": (
+        lambda: _forge_kind(
+            TIMES_FOUR, "gf-mismatch", mismatch_index=3, series_value="16", catalan_value="2"
+        ),
+        "leaves C_2 first",
+    ),
+    # order 0: the series is 0, so 0 != C_2 = 1 holds but index 1 is first
+    "gf_order_zero_index_two": (
+        lambda: _forge_kind(EMPTY, "gf-mismatch", mismatch_index=2),
+        "outside 1..1",
+    ),
 }
 
 
@@ -327,6 +381,29 @@ class TestHankelEngine:
         assert {det for k, offset, det in witnesses if offset == 3} != {1}
         validate_certificate(HankelCertificate(11, witnesses))
 
+    def test_offsets_bounded_by_twice_the_order_bound(self):
+        seq = catalan_convolution(40)
+        bound = 5
+        for offset, valid in ((2 * bound + 1, True), (2 * bound + 2, False)):
+            offsets = [1] * bound + [offset]
+            witnesses = tuple(
+                (k, at, int(hankel_nonsingular_witness(seq, k, at))) for k, at in enumerate(offsets)
+            )
+            cert = HankelCertificate(bound, witnesses)
+            if valid:
+                validate_certificate(cert)
+            else:
+                with pytest.raises(CertificateError, match=f"offset {offset} outside 1..11"):
+                    validate_certificate(cert)
+
+    def test_witness_count_checked_first(self):
+        cert = refute_by_hankel(2)
+        for bound in (-1, 1, 3, 10**30):
+            with pytest.raises(CertificateError, match="cannot cover orders"):
+                validate_certificate(dataclasses.replace(cert, order_bound=bound))
+        with pytest.raises(CertificateError, match="cannot cover orders"):
+            validate_certificate(HankelCertificate(-1, ()))
+
     def test_validator_messages(self):
         cert = refute_by_hankel(3)
         cases = [
@@ -437,6 +514,38 @@ class TestGfEngine:
             assert poly.residual == candidate_residual(coeffs, poly.witness_index)
             if coeffs in exact_fits:
                 assert poly.witness_index == k + 1
+
+    def test_mismatch_is_first_and_within_degree_bound(self):
+        # the first n >= 1 where the series of p/q leaves C_n is at most
+        # 2 max(deg p, deg q) + 1, with equality for exact fits; 30 % of the
+        # random candidates have a_0 = 0, so a shorter q, and for (1 - a, a)
+        # p = x + (1 - a) x**2 shares its root with q, so p/q reduces
+        rng = random.Random(43)
+        candidates = []
+        for _ in range(120):
+            k = rng.randint(1, 8)
+            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
+            if rng.random() < 0.3:
+                coeffs[0] = Fraction(0)
+            candidates.append(tuple(coeffs))
+        candidates += [(Fraction(1 - a), Fraction(a)) for a in (-4, -3, -2, -1, 0, 2, 3, 5)]
+        exact_fits = []
+        for k in (1, 2, 3, 5, 9, 12):
+            rows = [[catalan_closed(n + j) for j in range(k)] for n in range(1, k + 1)]
+            rhs = [catalan_closed(n + k) for n in range(1, k + 1)]
+            exact_fits.append(tuple(linalg.solve(rows, rhs)))
+        short_or_reduced = 0
+        for coeffs in candidates + exact_fits:
+            cert = refute_by_gf(LinearRecurrence(coeffs))
+            d = max(cert.numerator.degree, cert.denominator.degree)
+            short_or_reduced += cert.denominator.degree < len(coeffs)
+            rf = RationalFunction(cert.numerator, cert.denominator)
+            series = expand_rational(rf, 2 * d + 1).coefficients
+            first = next(n for n in range(1, 2 * d + 2) if series[n] != catalan_closed(n))
+            assert cert.mismatch_index == first
+            if coeffs in exact_fits:
+                assert first == 2 * d + 1
+        assert short_or_reduced >= 50
 
     def test_validator_rejects_mutations(self):
         cert = refute_by_gf(TIMES_FOUR)
@@ -606,6 +715,15 @@ class TestSerialization:
         doc["sha256"] = certify_module._payload_digest(doc)
         with pytest.raises(CertificateError, match="candidate order"):
             validate_document(doc)
+
+    @pytest.mark.parametrize("name", sorted(HOLE_FORGERIES))
+    def test_hole_forgeries_refused_at_once(self, name):
+        forge, reason = HOLE_FORGERIES[name]
+        forged = forge()
+        start = time.perf_counter()
+        with pytest.raises(CertificateError, match=reason):
+            validate_serialized(forged)
+        assert time.perf_counter() - start < 1
 
     def test_malformed_json_rejected(self):
         with pytest.raises(CertificateError):

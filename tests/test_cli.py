@@ -7,14 +7,17 @@ import pytest
 import random
 from fractions import Fraction
 
+from cfinite import cli
+from cfinite.certify import refute_all, serialize_bundle
 from cfinite.cli import _hankel_evidence, ingest_bfile, main, parse_bfile, parse_rational_list
 from cfinite.errors import BFileError
-from cfinite.recurrence import guess_recurrence, hankel_nonsingular_witness
+from cfinite.recurrence import guess_recurrence, hankel_nonsingular_witness, LinearRecurrence
 from cfinite.seqcore import catalan_convolution, fibonacci, Sequence
 from test_certify import (
     BIG_DENOMINATORS,
     FORGERY_ORDERS,
     forged_polynomial_text,
+    HOLE_FORGERIES,
     NUMBER_TYPE_FORGERIES,
 )
 
@@ -81,6 +84,14 @@ class TestCatalanCommand:
         assert code == 0
         assert "methods agree" in out
         assert out.strip().splitlines()[-1] == "12 58786"
+
+    def test_ballot_disagreement_surfaces(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.seqcore, "catalan_ballot", lambda n, cap: 7)
+        code, out, _ = run(capsys, "catalan", "-n", "5")
+        assert code == 1
+        assert "methods DISAGREE" in out
+        code, out, _ = run(capsys, "catalan", "-n", "1")
+        assert code == 0 and "ballot" not in out
 
     def test_single_term_closed(self, capsys):
         code, out, _ = run(capsys, "catalan", "-n", "1", "--method", "closed")
@@ -217,6 +228,9 @@ class TestRefuteCommand:
             "hankel",
             "gf-mismatch",
         ]
+        assert path.read_text() == serialize_bundle(refute_all(LinearRecurrence((4,))))
+        _, out, _ = run(capsys, "refute", "4", "--json")
+        assert out == path.read_text()
 
     def test_empty_candidate_parity(self, capsys):
         code, out, _ = run(capsys, "refute", "", "--method", "parity", "--json")
@@ -313,6 +327,14 @@ class TestValidateCommand:
         assert code == 1
         assert json.loads(out)["status"] == "invalid"
 
+    @pytest.mark.parametrize("name", sorted(HOLE_FORGERIES))
+    def test_hole_forgery_is_invalid(self, capsys, tmp_path, name):
+        path = tmp_path / "cert.json"
+        path.write_text(HOLE_FORGERIES[name][0]())
+        code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
+        assert code == 1
+        assert json.loads(out)["status"] == "invalid"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", "--input", str(tmp_path / "nope.json"))
         assert code == 2
@@ -341,6 +363,14 @@ class TestBinetCommand:
         code, _, err = run(
             capsys, "binet", "0,2", "--initial", "1,1", "--on-zero-root", "error"
         )
+        assert code == 2
+        assert "root 0" in err
+
+    def test_error_mode_without_zero_root(self, capsys):
+        for argv in (("",), ("1,1", "--initial", "1,1"), ("2,0", "--initial", "1,1")):
+            code, _, _ = run(capsys, "binet", *argv, "--on-zero-root", "error")
+            assert code == 0
+        code, _, err = run(capsys, "binet", "0,0,1", "--initial", "1,1,1", "--on-zero-root", "error")
         assert code == 2
         assert "root 0" in err
 

@@ -1,0 +1,81 @@
+"""Golden cfinite-cert/1 documents: the byte-level contract of the format.
+
+Each fixture under tests/fixtures/ was written by the producer and is
+regenerated here byte for byte; every one must also validate standalone.
+To rewrite them after a deliberate format change, run
+`PYTHONPATH=src python tests/test_golden.py` and say why in the change.
+"""
+
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from cfinite import linalg
+from cfinite.certify import (
+    refute_all,
+    refute_by_parity,
+    RefutationBundle,
+    serialize_bundle,
+    validate_serialized,
+)
+from cfinite.cli import parse_rational_list
+from cfinite.recurrence import LinearRecurrence
+from cfinite.seqcore import catalan_closed
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _exact_fit(k: int) -> tuple:
+    """The order-k candidate matching C_1..C_{2k}: it solves the order-k windows."""
+    rows = [[catalan_closed(n + j) for j in range(k)] for n in range(1, k + 1)]
+    rhs = [catalan_closed(n + k) for n in range(1, k + 1)]
+    return tuple(linalg.solve(rows, rhs))
+
+
+def _random_candidate(k: int, seed: int) -> tuple:
+    rng = random.Random(seed)
+    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k))
+
+
+def _parity_only(coefficients, exact_cap: int) -> RefutationBundle:
+    candidate = LinearRecurrence(coefficients)
+    return RefutationBundle(candidate, (refute_by_parity(candidate, exact_cap),))
+
+
+GOLDEN = {
+    "order0": lambda: refute_all(LinearRecurrence(parse_rational_list(""))),
+    "order1": lambda: refute_all(LinearRecurrence(parse_rational_list("4"))),
+    "order2": lambda: refute_all(LinearRecurrence(parse_rational_list("1/2,3"))),
+    "exact_fit5": lambda: refute_all(LinearRecurrence(_exact_fit(5))),
+    "random8": lambda: refute_all(LinearRecurrence(_random_candidate(8, 8))),
+    # the window C_8..C_11 lies above the cap, so the residual is null
+    "parity_null_residual": lambda: _parity_only(parse_rational_list("1/3,2,5/3"), 10),
+}
+
+
+def _path(name: str) -> Path:
+    return FIXTURES / f"{name}.json"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_fixture_regenerates_byte_for_byte(name):
+    assert serialize_bundle(GOLDEN[name]()) == _path(name).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_fixture_validates(name):
+    bundle = validate_serialized(_path(name).read_text())
+    assert bundle == GOLDEN[name]()
+
+
+def test_parity_fixture_has_null_residual():
+    (cert,) = validate_serialized(_path("parity_null_residual").read_text()).certificates
+    assert cert.residual is None
+
+
+if __name__ == "__main__":
+    FIXTURES.mkdir(exist_ok=True)
+    for name, build in GOLDEN.items():
+        _path(name).write_text(serialize_bundle(build()))

@@ -347,6 +347,18 @@ class TestDescendField:
         with pytest.raises(ValueError):
             descend_field(seq, rec, 6)
 
+    def test_windows_fit_but_later_terms_do_not(self):
+        # 2 + 0*sqrt(2) holds on windows 1..3 only; no rational order <= 1 fits all
+        seq = Sequence("bent", (2, 4, 8, 16, 33, 70))
+        rec = LinearRecurrence((sqrt2(2, 0),))
+        with pytest.raises(ValueError, match="no rational recurrence of order <= 1"):
+            descend_field(seq, rec, 3)
+
+    def test_is_the_least_order_guess(self):
+        seq = fibonacci(20)
+        rec = LinearRecurrence((sqrt5(0, -1), sqrt5(1, -1), sqrt5(1, 1)))
+        assert descend_field(seq, rec, 8) == guess_recurrence(seq, 3, 8)
+
     def test_window_count_precondition(self):
         seq = fibonacci(20)
         rec = LinearRecurrence((sqrt5(0, -1), sqrt5(1, -1), sqrt5(1, 1)))
