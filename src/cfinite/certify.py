@@ -44,6 +44,10 @@ SCHEMA_TAG = "cfinite-cert/1"
 # C_5000 has about 3000 digits, which is still cheap.
 EXACT_RESIDUAL_CAP = 5000
 
+# Largest Hankel order bound either side handles: the Bareiss pass is cubic
+# in the bound (about 0.2 s at 128 and 2 s at 256 on one x86-64 core).
+HANKEL_ORDER_CAP = 256
+
 
 @dataclass(frozen=True)
 class ParityCertificate:
@@ -278,12 +282,20 @@ def refute_by_hankel(order_bound: int) -> HankelCertificate:
     the pass stops at the first zero minor, so a nonzero last one suffices."""
     if order_bound < 0:
         raise ValueError(f"need order bound >= 0, got {order_bound}")
+    _check_hankel_cap(order_bound)
     minors = _catalan_hankel_minors(1, order_bound)
     if minors[-1] == 0:
         raise CertificateError(
             f"unexpected singular Catalan window at order {len(minors) - 1}"
         )
     return HankelCertificate(order_bound, tuple((k, 1, det) for k, det in enumerate(minors)))
+
+
+def _check_hankel_cap(bound: int) -> None:
+    if bound > HANKEL_ORDER_CAP:
+        raise ResourceLimitError(
+            f"hankel order bound {bound} is past the cap of {HANKEL_ORDER_CAP}"
+        )
 
 
 def validate_hankel(cert: HankelCertificate) -> None:
@@ -296,12 +308,14 @@ def validate_hankel(cert: HankelCertificate) -> None:
     rejected.  The witness count and every offset are checked before any
     range or Catalan value is built: an offset is at most 2K + 1 (K the
     bound), so no window reads past C_{4K+1}, as the polynomial check does.
+    A consistent bound past HANKEL_ORDER_CAP raises ResourceLimitError.
     """
     bound = cert.order_bound
     if bound < 0 or len(cert.witnesses) != bound + 1:
         raise CertificateError(
             f"{len(cert.witnesses)} witness(es) cannot cover orders 0..{bound}"
         )
+    _check_hankel_cap(bound)
     orders = [w[0] for w in cert.witnesses]
     if orders != list(range(bound + 1)):
         raise CertificateError(f"witnesses must cover orders 0..{bound}, found {orders}")

@@ -12,7 +12,9 @@ shifted to the 1-based convention with a notice.  Rational coefficients on
 the command line use "p/q" with no whitespace, separated by commas.
 
 Exit status: 0 on success, 1 when a certificate fails validation, 2 on
-usage or data errors.
+usage or data errors and on inputs past a resource cap (ResourceLimitError:
+a --ballot-cap above seqcore.BALLOT_CAP_MAX, or a Hankel order bound above
+certify.HANKEL_ORDER_CAP, also in a document given to validate).
 """
 
 import argparse
@@ -148,8 +150,8 @@ def _cmd_catalan(args) -> CommandResult:
     else:
         if args.method == "ballot" and count > args.ballot_cap:
             raise ValueError(
-                f"ballot enumeration is capped at n <= {args.ballot_cap}; "
-                "raise --ballot-cap or use another method"
+                f"ballot enumeration is capped at n <= {args.ballot_cap}; raise "
+                f"--ballot-cap (at most {seqcore.BALLOT_CAP_MAX}) or use another method"
             )
         values = _catalan_values(args.method, count, args.ballot_cap)
         if args.method == "ballot":

@@ -2,9 +2,11 @@
 
 A series carries coefficients c_0..c_N and never claims anything beyond
 its truncation order N; binary operations truncate to the smaller N of
-their operands.  Rational functions p/q with q(0) != 0 expand into series
-through the standard inversion recurrence, and the reconstruction
-direction recovers p/q from enough sequence terms when one exists.
+their operands.  Coefficients stay ints or Fractions as given, so integer
+series such as sqrt(1 - 4x) and C(x) multiply in integers.  Rational
+functions p/q with q(0) != 0 expand into series through the standard
+inversion recurrence, and the reconstruction direction recovers p/q from
+enough sequence terms when one exists.
 """
 
 from dataclasses import dataclass
@@ -23,11 +25,11 @@ class TruncatedSeries:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients, order: int | None = None):
-        coeffs = [Fraction(c) if isinstance(c, int) else c for c in coefficients]
+        coeffs = list(coefficients)
         if order is not None:
             if order < 0:
                 raise ValueError(f"need truncation order >= 0, got {order}")
-            coeffs = coeffs[: order + 1] + [Fraction(0)] * (order + 1 - len(coeffs))
+            coeffs = coeffs[: order + 1] + [0] * (order + 1 - len(coeffs))
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
         self.coefficients = tuple(coeffs)
@@ -123,22 +125,32 @@ class RationalFunction:
 def sqrt_one_minus_4x(order: int) -> TruncatedSeries:
     """The square root of 1 - 4x: coefficient n is binom(1/2, n) * (-4)**n.
 
-    Every coefficient is in fact an integer.
+    Every coefficient is an integer, computed as one: the ratio
+    binom(1/2, n) / binom(1/2, n-1) = (3 - 2n) / 2n gives
+    s_n = s_{n-1} * 2(2n - 3) / n, and each division is checked exact.
     """
     if order < 0:
         raise ValueError(f"need order >= 0, got {order}")
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for n in range(1, order + 1):
-        # binom(1/2, n) = binom(1/2, n-1) * (1/2 - (n-1)) / n
-        coeffs.append(coeffs[-1] * Fraction(3 - 2 * n, 2) / n * (-4))
+        quotient, remainder = divmod(coeffs[-1] * 2 * (2 * n - 3), n)
+        if remainder:
+            raise ArithmeticError("sqrt(1 - 4x) coefficient division left a remainder")
+        coeffs.append(quotient)
     return TruncatedSeries(coeffs)
 
 
 def catalan_gf(order: int) -> TruncatedSeries:
-    """C(x) = (1 - sqrt(1 - 4x)) / 2; coefficient n is C_n, coefficient 0 is 0."""
+    """C(x) = (1 - sqrt(1 - 4x)) / 2; coefficient n is C_n, coefficient 0 is 0.
+
+    1 - sqrt(1 - 4x) has even integer coefficients, halved exactly.
+    """
     if order < 1:
         raise ValueError(f"need order >= 1, got {order}")
-    return (1 - sqrt_one_minus_4x(order)) * Fraction(1, 2)
+    doubled = (1 - sqrt_one_minus_4x(order)).coefficients
+    if any(c % 2 for c in doubled):
+        raise ArithmeticError("1 - sqrt(1 - 4x) has an odd coefficient")
+    return TruncatedSeries([c // 2 for c in doubled])
 
 
 def rational_gf(rec: LinearRecurrence, initial_terms) -> RationalFunction:

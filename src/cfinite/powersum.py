@@ -369,7 +369,7 @@ def polynomial_roots(p: Polynomial, tolerance: float = 1e-12, merge_tol: float =
                     roots.append((cand, mult))
         roots.sort(key=lambda rm: rm[0])
     if work.degree >= 1:
-        import numpy as np  # imported on first use, as in seqcore.catalan_ballot
+        import numpy as np  # imported on first use: only this numeric tier needs numpy
 
         coeffs = [complex(c) for c in work.coeffs]
         raw = np.roots(coeffs[::-1])

@@ -17,10 +17,10 @@ from fractions import Fraction
 
 from .errors import MixedRadicandError, ResourceLimitError
 
-# Cap on the brute-force ballot enumeration: n = 13 means 2**24 words.
+# Caps on the brute-force ballot enumeration: n = 13 means 2**24 words, and
+# no cap above n = 17 (2**32 words) is accepted.
 BALLOT_CAP_DEFAULT = 13
-
-_BALLOT_CHUNK = 1 << 20
+BALLOT_CAP_MAX = 17
 
 
 def _is_squarefree(n: int) -> bool:
@@ -190,39 +190,64 @@ class Sequence:
         return all(isinstance(t, (int, Fraction)) for t in self.terms)
 
 
+def _half_words(h: int) -> tuple:
+    """(heights, lows) of every word of h letters: the sum of its letters
+    and its lowest prefix sum, the empty prefix included.  Letter i of word
+    w is +1 if bit i of w is set and -1 otherwise."""
+    heights, lows = [0], [0]
+    for _ in range(h):
+        # the new letter is the top bit: -1 for the first half of the table
+        heights, lows = (
+            [x - 1 for x in heights] + [x + 1 for x in heights],
+            [min(m, x - 1) for m, x in zip(lows, heights)] + lows,
+        )
+    return heights, lows
+
+
+def _bitset(codes: bytes, wanted) -> int:
+    """The int whose bit w is set iff codes[w] is in wanted."""
+    table = bytes(ord("1") if c in wanted else ord("0") for c in range(256))
+    return int(codes[::-1].translate(table), 2)
+
+
 def catalan_ballot(n: int, cap: int = BALLOT_CAP_DEFAULT) -> int:
     """Count ballot words of length 2n - 2 by exhaustive enumeration.
 
     A ballot word is a word over {-1, +1} whose proper initial sums are all
     nonnegative and whose total sum is zero; there are C_n of them.  Every
-    one of the 2**(2n-2) candidate words is examined, which makes this
+    one of the 2**(2n-2) candidate words is decided, which makes this
     generator independent of any formula, and also why n is capped.
+
+    A word is its first h = n - 1 letters followed by its last h.  It is a
+    ballot word iff the first half never dips below 0, the second half
+    never dips below minus the first half's height, and the two heights
+    cancel.  The height and lowest prefix sum of all 2**h half-words are
+    computed once.  For each second half, the verdicts of the 2**h words
+    that share it are the bits of one int: the AND of the first halves that
+    never dip and end at minus its height with the first halves at least as
+    high as minus its lowest prefix sum.  The set bits are then counted.
     """
+    if cap > BALLOT_CAP_MAX:
+        raise ResourceLimitError(
+            f"ballot cap {cap} is above {BALLOT_CAP_MAX}: "
+            f"n = {BALLOT_CAP_MAX} already means 2**{2 * BALLOT_CAP_MAX - 2} words"
+        )
     if n < 2:
         raise ValueError(f"ballot counting is defined for n >= 2, got {n}")
     if n > cap:
         raise ResourceLimitError(
             f"ballot enumeration for n={n} needs 2**{2 * n - 2} words; cap is n <= {cap}"
         )
-    import numpy as np  # imported on first use: no exact code path needs numpy
-
-    length = 2 * n - 2
-    if length > 32:
-        raise ResourceLimitError("enumeration beyond 32-letter words is not supported")
-    total = 1 << length
-    count = 0
-    for start in range(0, total, _BALLOT_CHUNK):
-        words = np.arange(start, min(start + _BALLOT_CHUNK, total), dtype=np.uint32)
-        ones = np.zeros(words.shape, dtype=np.uint8)
-        ok = np.ones(words.shape, dtype=bool)
-        for j in range(length):
-            ones += ((words >> np.uint32(j)) & np.uint32(1)).astype(np.uint8)
-            if j < length - 1:
-                # sum of the first j+1 letters is 2*ones - (j+1) >= 0
-                ok &= ones >= ((j + 2) // 2)
-        ok &= ones == (length // 2)
-        count += int(np.count_nonzero(ok))
-    return count
+    h = n - 1
+    heights, lows = _half_words(h)
+    # a first half's code is its height, or 255 when it dips below 0
+    codes = bytes(x if m >= 0 else 255 for x, m in zip(heights, lows))
+    ends_at = [_bitset(codes, {v}) for v in range(-h, h + 1)]  # index v + h
+    at_least = [_bitset(codes, range(t, h + 1)) for t in range(h + 1)]
+    # a second half of height x and lowest prefix sum m <= 0
+    return sum(
+        (ends_at[h - x] & at_least[-m]).bit_count() for x, m in zip(heights, lows)
+    )
 
 
 def catalan_convolution(count: int) -> Sequence:

@@ -21,6 +21,7 @@ from cfinite.certify import (
     certificate_from_fields,
     certificate_to_fields,
     GfMismatchCertificate,
+    HANKEL_ORDER_CAP,
     HankelCertificate,
     parse_bundle,
     ParityCertificate,
@@ -142,6 +143,14 @@ HOLE_FORGERIES = {
         "outside 1..1",
     ),
 }
+
+
+def hankel_past_cap_text() -> str:
+    """A TIMES_FOUR bundle whose Hankel certificate is consistent in size but
+    one order past HANKEL_ORDER_CAP (determinants unchecked), digest recomputed."""
+    bound = HANKEL_ORDER_CAP + 1
+    witnesses = [{"determinant": "1", "offset": 1, "order": k} for k in range(bound + 1)]
+    return _forge_kind(TIMES_FOUR, "hankel", order_bound=bound, witnesses=witnesses)
 
 
 # Orders of the polynomial-field forgery tests.
@@ -403,6 +412,22 @@ class TestHankelEngine:
                 validate_certificate(dataclasses.replace(cert, order_bound=bound))
         with pytest.raises(CertificateError, match="cannot cover orders"):
             validate_certificate(HankelCertificate(-1, ()))
+
+    def test_order_bound_cap(self):
+        assert HANKEL_ORDER_CAP >= 128
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="past the cap of"):
+            validate_serialized(hankel_past_cap_text())
+        with pytest.raises(ResourceLimitError, match="past the cap of"):
+            refute_by_hankel(HANKEL_ORDER_CAP + 1)
+        assert time.perf_counter() - start < 1
+        # the count check comes first, so an inconsistent bound stays a CertificateError
+        with pytest.raises(CertificateError, match="cannot cover orders"):
+            validate_certificate(HankelCertificate(HANKEL_ORDER_CAP + 1, ((0, 1, 1),)))
+
+    def test_order_128_document_validates(self):
+        bundle = refute_all(TIMES_FOUR, hankel_bound=128)
+        assert validate_serialized(serialize_bundle(bundle)) == bundle
 
     def test_validator_messages(self):
         cert = refute_by_hankel(3)

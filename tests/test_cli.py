@@ -1,6 +1,7 @@
 """End-to-end command-line behavior."""
 
 import json
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from test_certify import (
     BIG_DENOMINATORS,
     FORGERY_ORDERS,
     forged_polynomial_text,
+    hankel_past_cap_text,
     HOLE_FORGERIES,
     NUMBER_TYPE_FORGERIES,
 )
@@ -102,6 +104,14 @@ class TestCatalanCommand:
         code, _, err = run(capsys, "catalan", "-n", "20", "--method", "ballot")
         assert code == 2
         assert "cap" in err
+
+    def test_ballot_cap_above_the_largest_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "catalan", "-n", "20", "--ballot-cap", "18", "--json")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["status"] == "error" and "above 17" in doc["payload"]["message"]
 
     def test_json_is_deterministic(self, capsys):
         _, out1, _ = run(capsys, "catalan", "-n", "6", "--json")
@@ -334,6 +344,16 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
         assert code == 1
         assert json.loads(out)["status"] == "invalid"
+
+    def test_hankel_bound_past_the_cap_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text(hankel_past_cap_text())
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["status"] == "error" and "past the cap" in doc["payload"]["message"]
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", "--input", str(tmp_path / "nope.json"))

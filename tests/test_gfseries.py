@@ -45,6 +45,13 @@ class TestTruncatedSeries:
             assert product.coefficients == tuple(expected.coefficient(i) for i in range(n + 1))
             assert (series(b) * series(a)).coefficients == product.coefficients
 
+    def test_int_coefficients_stay_int(self):
+        ints = TruncatedSeries((1, -2, 3), 4)
+        fractions = series((1, -2, 3), 4)
+        assert all(type(c) is int for c in (ints * ints - 1).coefficients)
+        assert ints == fractions and hash(ints) == hash(fractions)
+        assert repr(ints) == repr(fractions)
+
     def test_zero_plus_any(self):
         a = series((3, 1, 4, 1, 5))
         zero = series((0,), 4)
@@ -102,7 +109,14 @@ class TestSqrtSeries:
         assert sq.coefficients == series((1, -4), 10).coefficients
 
     def test_integrality(self):
-        assert all(c.denominator == 1 for c in sqrt_one_minus_4x(100).coefficients)
+        # oracle: the same binomial product in Fractions, term by term
+        binom, expected = Fraction(1), []
+        for n in range(501):
+            expected.append(binom * (-4) ** n)
+            binom *= (Fraction(1, 2) - n) / (n + 1)
+        got = sqrt_one_minus_4x(500).coefficients
+        assert got == tuple(expected)
+        assert all(type(c) is int for c in got)
 
 
 class TestCatalanGf:
@@ -110,6 +124,7 @@ class TestCatalanGf:
         gf = catalan_gf(500)
         assert gf.coefficient(0) == 0
         assert gf.coefficients[1:] == tuple(catalan_convolution(500).terms)
+        assert all(type(c) is int for c in gf.coefficients)
 
     def test_quadratic_relation(self):
         n = 50

@@ -2,6 +2,8 @@
 
 Each fixture under tests/fixtures/ was written by the producer and is
 regenerated here byte for byte; every one must also validate standalone.
+The cli_*.json fixtures are the standard output of the commands in
+GOLDEN_STDOUT, compared byte for byte.
 To rewrite them after a deliberate format change, run
 `PYTHONPATH=src python tests/test_golden.py` and say why in the change.
 """
@@ -20,7 +22,7 @@ from cfinite.certify import (
     serialize_bundle,
     validate_serialized,
 )
-from cfinite.cli import parse_rational_list
+from cfinite.cli import main, parse_rational_list
 from cfinite.recurrence import LinearRecurrence
 from cfinite.seqcore import catalan_closed
 
@@ -70,12 +72,33 @@ def test_fixture_validates(name):
     assert bundle == GOLDEN[name]()
 
 
+# Standard output of cfinite commands, byte for byte; file name -> argv.
+GOLDEN_STDOUT = {
+    "cli_catalan13.json": ("catalan", "-n", "13", "--json"),
+    "cli_gf_catalan200.json": ("gf", "catalan", "--truncation", "200", "--json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+def test_cli_stdout_byte_for_byte(name, capsys):
+    assert main(list(GOLDEN_STDOUT[name])) == 0
+    assert capsys.readouterr().out == (FIXTURES / name).read_text()
+
+
 def test_parity_fixture_has_null_residual():
     (cert,) = validate_serialized(_path("parity_null_residual").read_text()).certificates
     assert cert.residual is None
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
+
     FIXTURES.mkdir(exist_ok=True)
     for name, build in GOLDEN.items():
         _path(name).write_text(serialize_bundle(build()))
+    for name, argv in GOLDEN_STDOUT.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(list(argv))
+        (FIXTURES / name).write_text(out.getvalue())

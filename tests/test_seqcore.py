@@ -8,6 +8,7 @@ import pytest
 from cfinite.errors import MixedRadicandError, ResourceLimitError
 from cfinite.seqcore import (
     BALLOT_CAP_DEFAULT,
+    BALLOT_CAP_MAX,
     catalan_ballot,
     catalan_closed,
     catalan_convolution,
@@ -42,9 +43,14 @@ class TestCatalanBallot:
         # exactly (1,-1,1,-1) and (1,1,-1,-1) qualify among the 16 words
         assert catalan_ballot(3) == 2
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_against_itertools_oracle(self, n):
         assert catalan_ballot(n) == ballot_count_bruteforce(n)
+
+    def test_against_closed_formula_to_the_largest_cap(self):
+        assert BALLOT_CAP_MAX == 17
+        for n in range(2, BALLOT_CAP_MAX + 1):
+            assert catalan_ballot(n, cap=BALLOT_CAP_MAX) == catalan_closed(n)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -56,6 +62,11 @@ class TestCatalanBallot:
         assert catalan_ballot(6, cap=6) == 42
         with pytest.raises(ResourceLimitError):
             catalan_ballot(BALLOT_CAP_DEFAULT + 1)
+
+    def test_cap_above_the_largest_refused(self):
+        # refused from the cap alone, before any word is enumerated
+        with pytest.raises(ResourceLimitError, match="above 17"):
+            catalan_ballot(2, cap=BALLOT_CAP_MAX + 1)
 
 
 class TestCatalanConvolution:

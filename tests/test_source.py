@@ -22,26 +22,38 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    script = """
-import sys
-import cfinite.cli
-assert "numpy" not in sys.modules, "importing cfinite.cli loaded numpy"
-from cfinite.powersum import Polynomial, polynomial_roots
-from cfinite.seqcore import catalan_ballot
-assert catalan_ballot(6) == 42
-roots = polynomial_roots(Polynomial((-2, 0, 1)))
-assert sorted(round(z.real, 9) for z, _ in roots) == [-1.414213562, 1.414213562]
-assert "numpy" in sys.modules
-"""
-    done = subprocess.run(
-        [sys.executable, "-c", script],
+def _child(*args):
+    return subprocess.run(
+        [sys.executable, *args],
         env={"PYTHONPATH": str(PACKAGE.parent)},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves only the numeric root tier
+    script = """
+import sys
+import cfinite.cli
+assert "numpy" not in sys.modules, "importing cfinite.cli loaded numpy"
+from cfinite.gfseries import catalan_gf
+from cfinite.powersum import Polynomial, polynomial_roots
+from cfinite.seqcore import catalan_ballot
+assert catalan_ballot(13) == 208012
+assert catalan_gf(500).coefficient(13) == 208012
+assert "numpy" not in sys.modules, "a Catalan generator loaded numpy"
+roots = polynomial_roots(Polynomial((-2, 0, 1)))
+assert sorted(round(z.real, 9) for z, _ in roots) == [-1.414213562, 1.414213562]
+assert "numpy" in sys.modules
+"""
+    done = _child("-c", script)
     assert done.returncode == 0, done.stderr
+    # -X importtime lists every module the command imports
+    done = _child("-X", "importtime", "-m", "cfinite.cli", "catalan", "-n", "13", "--json")
+    assert done.returncode == 0, done.stderr
+    assert "cfinite.seqcore" in done.stderr and "numpy" not in done.stderr
 
 
 @functools.cache
