@@ -36,9 +36,8 @@ from .errors import CertificateError, ResourceLimitError
 from .gfseries import expand_rational, rational_gf, RationalFunction
 from .powersum import linear_factor_product, Polynomial
 from .recurrence import LinearRecurrence, normalize_coprime
+from .schema import canonical_json as _canonical_json, SCHEMA_TAG
 from .seqcore import catalan_closed, catalan_is_odd
-
-SCHEMA_TAG = "cfinite-cert/1"
 
 # Residuals are computed exactly while the window stays below this index;
 # C_5000 has about 3000 digits, which is still cheap.
@@ -570,10 +569,6 @@ def certificate_from_fields(fields: dict):
     except _MALFORMED as exc:
         raise CertificateError(f"malformed certificate fields: {exc}") from exc
     raise CertificateError(f"unknown certificate kind {fields.get('kind')!r}")
-
-
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 def _payload_digest(payload: dict) -> str:

@@ -15,6 +15,10 @@ Exit status: 0 on success, 1 when a certificate fails validation, 2 on
 usage or data errors and on inputs past a resource cap (ResourceLimitError:
 a --ballot-cap above seqcore.BALLOT_CAP_MAX, or a Hankel order bound above
 certify.HANKEL_ORDER_CAP, also in a document given to validate).
+
+Start-up imports only what parsing and JSON output need (seqcore, errors,
+schema); each handler imports its own engines, so `catalan` never loads
+certify, recurrence or powersum, and only refute and validate load certify.
 """
 
 import argparse
@@ -24,10 +28,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from . import certify, gfseries, linalg, powersum, recurrence, seqcore
-from .certify import SCHEMA_TAG
+from . import seqcore
 from .errors import BFileError, CertificateError, CFiniteError
-from .recurrence import LinearRecurrence
+from .schema import canonical_json, SCHEMA_TAG
 from .seqcore import Sequence
 
 CATALAN_METHODS = ("ballot", "convolution", "closed", "holonomic")
@@ -185,6 +188,8 @@ def _hankel_evidence(seq: Sequence, max_order: int):
     gives every offset-1 minor as minor_k / s**(k+1).  Orders at or past the
     first zero minor search further offsets one determinant at a time.
     """
+    from . import linalg, recurrence
+
     ints, scale = linalg.clear_denominators(seq.terms[: 2 * max_order + 1])
     minors = linalg.hankel_minors(ints)
     evidence = []
@@ -203,6 +208,8 @@ def _hankel_evidence(seq: Sequence, max_order: int):
 
 
 def _cmd_guess(args) -> CommandResult:
+    from . import recurrence
+
     seq, note = _load_guess_sequence(args)
     lines = []
     if note:
@@ -250,47 +257,29 @@ def _cmd_guess(args) -> CommandResult:
     return CommandResult(_wrap("guess", "ok", payload), lines)
 
 
-_REFUTE_ENGINES = {
-    "parity": lambda cand, args: certify.refute_by_parity(cand, args.exact_cap),
-    "poly": lambda cand, args: certify.refute_by_polynomial(cand),
-    "hankel": lambda cand, args: certify.refute_by_hankel(
-        args.max_order if args.max_order is not None else cand.order
-    ),
-    "gf": lambda cand, args: certify.refute_by_gf(cand),
-}
-
-_CERT_SUMMARY = {
-    certify.ParityCertificate: lambda c: (
-        f"parity: vector {c.coprime_vector}, window n = {c.window_start}, "
-        f"lone power of two at n + {c.odd_index} = 2^{c.exponent}"
-        + (f", exact residual {c.residual}" if c.residual is not None else "")
-    ),
-    certify.PolynomialCertificate: lambda c: (
-        f"polynomial: p(x) = {c.polynomial}, p(-{c.order}) = {c.value_at_minus_order}, "
-        f"residual {c.residual} at n = {c.witness_index}"
-    ),
-    certify.HankelCertificate: lambda c: (
-        f"hankel: nonzero window determinants for orders 0..{c.order_bound}"
-    ),
-    certify.GfMismatchCertificate: lambda c: (
-        f"gf-mismatch: series of {gfseries.RationalFunction(c.numerator, c.denominator)} "
-        f"has coefficient {c.series_value} at index {c.mismatch_index}, "
-        f"Catalan value is {c.catalan_value}"
-    ),
-}
-
-
 def _cmd_refute(args) -> CommandResult:
+    from . import certify
+    from .gfseries import RationalFunction
+    from .recurrence import LinearRecurrence
+
     candidate = LinearRecurrence(parse_rational_list(args.coefficients))
+    exact_cap = certify.EXACT_RESIDUAL_CAP if args.exact_cap is None else args.exact_cap
     if args.method == "all":
         bundle = certify.refute_all(
             candidate,
-            exact_cap=args.exact_cap,
+            exact_cap=exact_cap,
             hankel_bound=args.max_order,
         )
     else:
-        cert = _REFUTE_ENGINES[args.method](candidate, args)
-        bundle = certify.RefutationBundle(candidate, (cert,))
+        engines = {
+            "parity": lambda: certify.refute_by_parity(candidate, exact_cap),
+            "poly": lambda: certify.refute_by_polynomial(candidate),
+            "hankel": lambda: certify.refute_by_hankel(
+                args.max_order if args.max_order is not None else candidate.order
+            ),
+            "gf": lambda: certify.refute_by_gf(candidate),
+        }
+        bundle = certify.RefutationBundle(candidate, (engines[args.method](),))
     doc = certify.bundle_to_document(bundle)
     lines = [f"candidate: {candidate} (order {candidate.order}, field {candidate.field})"]
     try:
@@ -298,11 +287,30 @@ def _cmd_refute(args) -> CommandResult:
     except CertificateError as exc:
         lines.append(f"INVALID: {exc}")
         return CommandResult(doc, lines, exit_code=1)
+    summaries = {
+        certify.ParityCertificate: lambda c: (
+            f"parity: vector {c.coprime_vector}, window n = {c.window_start}, "
+            f"lone power of two at n + {c.odd_index} = 2^{c.exponent}"
+            + (f", exact residual {c.residual}" if c.residual is not None else "")
+        ),
+        certify.PolynomialCertificate: lambda c: (
+            f"polynomial: p(x) = {c.polynomial}, p(-{c.order}) = {c.value_at_minus_order}, "
+            f"residual {c.residual} at n = {c.witness_index}"
+        ),
+        certify.HankelCertificate: lambda c: (
+            f"hankel: nonzero window determinants for orders 0..{c.order_bound}"
+        ),
+        certify.GfMismatchCertificate: lambda c: (
+            f"gf-mismatch: series of {RationalFunction(c.numerator, c.denominator)} "
+            f"has coefficient {c.series_value} at index {c.mismatch_index}, "
+            f"Catalan value is {c.catalan_value}"
+        ),
+    }
     for cert in bundle.certificates:
-        lines.append("  " + _CERT_SUMMARY[type(cert)](cert))
+        lines.append("  " + summaries[type(cert)](cert))
     lines.append(f"{len(bundle.certificates)} certificate(s), all validated")
     if args.output:
-        Path(args.output).write_text(certify._canonical_json(doc) + "\n")
+        Path(args.output).write_text(canonical_json(doc) + "\n")
         lines.append(f"wrote {args.output}")
     return CommandResult(doc, lines)
 
@@ -317,8 +325,10 @@ def _root_display(root) -> str:
 
 
 def _cmd_binet(args) -> CommandResult:
+    from . import powersum, recurrence
+
     coefficients = parse_rational_list(args.coefficients)
-    candidate = LinearRecurrence(coefficients)
+    candidate = recurrence.LinearRecurrence(coefficients)
     initial = parse_rational_list(args.initial) if args.initial else ()
     ps = powersum.binet_form(candidate, initial)
     if ps.valid_from > 1 and args.on_zero_root == "error":
@@ -376,6 +386,9 @@ def _cmd_binet(args) -> CommandResult:
 
 
 def _cmd_gf(args) -> CommandResult:
+    from . import gfseries
+    from .recurrence import LinearRecurrence
+
     if args.spec.strip().lower() == "catalan":
         order = max(args.truncation, 1)
         series = gfseries.catalan_gf(order)
@@ -412,6 +425,8 @@ def _cmd_gf(args) -> CommandResult:
 
 
 def _cmd_validate(args) -> CommandResult:
+    from . import certify
+
     text = Path(args.input).read_text()
     try:
         bundle = certify.validate_serialized(text)
@@ -483,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--exact-cap",
         type=int,
-        default=certify.EXACT_RESIDUAL_CAP,
+        default=None,
         help="compute exact residuals while the window stays below this index",
     )
     p.add_argument("--output", help="write the serialized certificate document here")
@@ -530,12 +545,12 @@ def main(argv=None) -> int:
     except (CFiniteError, ValueError, OSError) as exc:
         if getattr(args, "json", False):
             doc = _wrap(args.command, "error", {"message": str(exc)})
-            print(certify._canonical_json(doc))
+            print(canonical_json(doc))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "json", False):
-        print(certify._canonical_json(result.document))
+        print(canonical_json(result.document))
     elif result.human:
         print(result.human)
     return result.exit_code

@@ -2,12 +2,14 @@
 
 Each fixture under tests/fixtures/ was written by the producer and is
 regenerated here byte for byte; every one must also validate standalone.
-The cli_*.json fixtures are the standard output of the commands in
-GOLDEN_STDOUT, compared byte for byte.
+The cli_* fixtures are the standard output of the commands in
+GOLDEN_STDOUT, compared byte for byte; the --help pages are formatted at
+80 columns.
 To rewrite them after a deliberate format change, run
 `PYTHONPATH=src python tests/test_golden.py` and say why in the change.
 """
 
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -76,12 +78,26 @@ def test_fixture_validates(name):
 GOLDEN_STDOUT = {
     "cli_catalan13.json": ("catalan", "-n", "13", "--json"),
     "cli_gf_catalan200.json": ("gf", "catalan", "--truncation", "200", "--json"),
+    "cli_help.txt": ("--help",),
+    **{
+        f"cli_help_{command}.txt": (command, "--help")
+        for command in ("catalan", "guess", "refute", "binet", "gf", "validate")
+    },
 }
 
 
+def _exit_code(argv) -> int:
+    """main's exit status; --help exits from inside argparse."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
-def test_cli_stdout_byte_for_byte(name, capsys):
-    assert main(list(GOLDEN_STDOUT[name])) == 0
+def test_cli_stdout_byte_for_byte(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_code(GOLDEN_STDOUT[name]) == 0
     assert capsys.readouterr().out == (FIXTURES / name).read_text()
 
 
@@ -95,10 +111,11 @@ if __name__ == "__main__":
     import io
 
     FIXTURES.mkdir(exist_ok=True)
+    os.environ["COLUMNS"] = "80"
     for name, build in GOLDEN.items():
         _path(name).write_text(serialize_bundle(build()))
     for name, argv in GOLDEN_STDOUT.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            main(list(argv))
+            _exit_code(argv)
         (FIXTURES / name).write_text(out.getvalue())

@@ -2,9 +2,13 @@
 
 import ast
 import functools
+import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cfinite
 
@@ -23,9 +27,10 @@ def test_no_assert_statements():
 
 
 def _child(*args):
+    # -B: a test run leaves no bytecode next to the sources
     return subprocess.run(
-        [sys.executable, *args],
-        env={"PYTHONPATH": str(PACKAGE.parent)},
+        [sys.executable, "-B", *args],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         capture_output=True,
         text=True,
         timeout=120,
@@ -50,10 +55,112 @@ assert "numpy" in sys.modules
 """
     done = _child("-c", script)
     assert done.returncode == 0, done.stderr
-    # -X importtime lists every module the command imports
-    done = _child("-X", "importtime", "-m", "cfinite.cli", "catalan", "-n", "13", "--json")
+
+
+def _imported(*args) -> set:
+    """Modules a child process imports, read off its -X importtime lines."""
+    done = _child("-X", "importtime", *args)
     assert done.returncode == 0, done.stderr
-    assert "cfinite.seqcore" in done.stderr and "numpy" not in done.stderr
+    names = set()
+    for line in done.stderr.splitlines():
+        parts = line.split("|")
+        if len(parts) == 3 and parts[1].strip().isdigit():
+            names.add(parts[2].strip())
+    return names
+
+
+# cfinite argv -> (modules it must import, modules it must not import)
+FOOTPRINTS = {
+    ("catalan", "-n", "13", "--json"): (
+        {"cfinite.seqcore"},
+        {"cfinite.certify", "hashlib", "cfinite.powersum", "numpy"},
+    ),
+    ("guess", "--terms", "1,1,2,3,5,8,13,21,34,55", "--json"): (
+        {"cfinite.recurrence", "cfinite.linalg"},
+        {"cfinite.certify", "hashlib", "cfinite.powersum", "numpy"},
+    ),
+    ("gf", "catalan", "--json"): (
+        {"cfinite.gfseries"},
+        {"cfinite.certify", "hashlib", "numpy"},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FOOTPRINTS), ids=lambda argv: argv[0])
+def test_subcommand_imports_only_its_engines(argv):
+    needed, unused = FOOTPRINTS[argv]
+    imported = _imported("-m", "cfinite.cli", *argv)
+    assert needed <= imported
+    assert imported & unused == set()
+
+
+def test_package_import_loads_no_submodule():
+    imported = _imported("-c", "import cfinite")
+    assert "cfinite" in imported
+    assert {name for name in imported if name.startswith("cfinite.")} == set()
+
+
+# The names `cfinite` re-exported when its __init__ imported every submodule.
+PUBLIC = {
+    "certify": (
+        "GfMismatchCertificate", "HankelCertificate", "ParityCertificate",
+        "PolynomialCertificate", "RefutationBundle", "parse_bundle", "refute_all",
+        "refute_by_gf", "refute_by_hankel", "refute_by_parity", "refute_by_polynomial",
+        "serialize_bundle", "validate_certificate", "validate_document",
+        "validate_serialized",
+    ),
+    "errors": (
+        "BFileError", "CertificateError", "CFiniteError", "DimensionError",
+        "InsufficientDataError", "MixedRadicandError", "ResourceLimitError",
+        "RootFindingError", "SingularSystemError",
+    ),
+    "gfseries": (
+        "catalan_gf", "degree_parity_check", "expand_rational", "pade_reconstruct",
+        "rational_gf", "RationalFunction", "sqrt_one_minus_4x", "TruncatedSeries",
+    ),
+    "linalg": (),
+    "powersum": (
+        "binet_form", "catalan_asymptotic_constant", "characteristic_polynomial",
+        "DominantPart", "dominant_part", "evaluate_powersum", "falling_factorial",
+        "Polynomial", "polynomial_roots", "PowerSum", "tail_lower_bound_check",
+        "vandermonde_modulus",
+    ),
+    "recurrence": (
+        "descend_field", "guess_recurrence", "hankel_nonsingular_witness",
+        "IntegerRecurrenceVector", "iterate_recurrence", "kernel_nontrivial",
+        "LinearRecurrence", "normalize_coprime", "verify", "WindowMatrix",
+    ),
+    "seqcore": (
+        "catalan_ballot", "catalan_closed", "catalan_convolution", "catalan_holonomic",
+        "catalan_is_odd", "catalan_is_odd_by_reduction", "fibonacci",
+        "QuadraticFieldElement", "Sequence",
+    ),
+}
+# ... and, being bound by those imports, the submodules themselves
+EVERY_PUBLIC = {*PUBLIC, *(name for names in PUBLIC.values() for name in names)}
+
+
+def test_lazy_namespace_keeps_the_public_api():
+    for module, names in PUBLIC.items():
+        submodule = importlib.import_module(f"cfinite.{module}")
+        assert getattr(cfinite, module) is submodule
+        for name in names:
+            assert getattr(cfinite, name) is getattr(submodule, name), name
+    star = {}
+    exec("from cfinite import *", star)
+    assert set(star) - {"__builtins__"} == EVERY_PUBLIC
+    # cli and schema are bound once something imports them, as before
+    listed = {name for name in dir(cfinite) if not name.startswith("_")}
+    assert EVERY_PUBLIC <= listed <= EVERY_PUBLIC | {"cli", "schema"}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cfinite.no_such_name
+    with pytest.raises(ImportError):
+        exec("from cfinite import no_such_name", {})
+
+
+def test_submodule_resolves_after_bare_import():
+    done = _child("-c", "import cfinite; print(cfinite.certify.refute_all is cfinite.refute_all)")
+    assert (done.returncode, done.stdout) == (0, "True\n"), done.stderr
 
 
 @functools.cache
@@ -75,12 +182,9 @@ def _referenced_names(tree) -> set:
 
 
 def test_no_unused_imports():
-    # no linter runs on this package, so leftovers from deletions are caught here;
-    # __init__.py imports only to re-export
+    # no linter runs on this package, so leftovers from deletions are caught here
     found = []
     for name, tree in _module_trees().items():
-        if name == "__init__.py":
-            continue
         used = _referenced_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -88,6 +192,10 @@ def test_no_unused_imports():
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in used:
                         found.append(f"{name}:{node.lineno} {bound}")
+    # __init__.py re-exports through its table, not by importing
+    for module, names in cfinite._EXPORTS.items():
+        submodule = importlib.import_module(f"cfinite.{module}")
+        found += [f"__init__.py {module}.{n}" for n in names if not hasattr(submodule, n)]
     assert found == []
 
 
