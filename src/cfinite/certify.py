@@ -18,9 +18,12 @@ using nothing but exact Catalan values and the certificate fields:
   disagrees with the Catalan series at an explicit coefficient.
 
 Bundles serialize to canonical JSON (sorted keys, fixed separators) with a
-sha256 digest over the payload.  Anyone can recompute the digest, so it
-only detects edits; a forgery is caught because the validators recheck
-every field against the candidate, p by its identity at n = 1..3k+1.
+sha256 digest over the payload.  One table, _FORMAT, gives each
+certificate's kind tag and its fields with the codec that writes and reads
+each, so a document has one written form and the validator refuses any
+other.  Anyone can recompute the digest, so it only detects edits; a
+forgery is caught because the validators recheck every field against the
+candidate, p by its identity at n = 1..3k+1.
 """
 
 import hashlib
@@ -104,7 +107,7 @@ class RefutationBundle:
 def _candidate_rational(candidate: LinearRecurrence):
     if not candidate.is_rational():
         raise ValueError("refutation engines take rational candidates")
-    return tuple(Fraction(c) for c in candidate.coefficients)
+    return candidate.coefficients
 
 
 def _catalan_table(start: int, count: int) -> list:
@@ -199,15 +202,6 @@ def polynomial_certificate_value(order: int) -> int:
     """The closed form (-1) * (-1)_k * (-2)_{2k} for p(-k), in integers:
     (-1)_k = (-1)**k k! and (-2)_{2k} = (2k+1)!."""
     return -((-1) ** order) * math.factorial(order) * math.factorial(2 * order + 1)
-
-
-def candidate_residual(coefficients, n: int) -> Fraction:
-    """sum_{j<k} a_j C_{n+j} - C_{n+k}, exactly."""
-    k = len(coefficients)
-    acc = -Fraction(catalan_closed(n + k))
-    for j, a in enumerate(coefficients):
-        acc += Fraction(a) * catalan_closed(n + j)
-    return acc
 
 
 def refute_by_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
@@ -445,15 +439,10 @@ def _written(value: int, field: str) -> int:
 
 
 def _rat(value, field: str) -> str:
-    """A rational (or integer) field as text: "p/q", or "p" when q = 1."""
-    value = Fraction(value)
+    """A Fraction (or int) field as text: "p/q", or "p" when q = 1."""
     _written(value.numerator, field)
     _written(value.denominator, field)
     return str(value)
-
-
-def _poly_fields(poly: Polynomial, field: str):
-    return [_rat(c, field) for c in poly.coeffs]
 
 
 # What a malformed field raises while it is read.  OverflowError comes from
@@ -477,95 +466,77 @@ def _rational(value) -> Fraction:
     return Fraction(value)
 
 
-def _poly_from_fields(coeffs) -> Polynomial:
-    return Polynomial(tuple(_rational(c) for c in coeffs))
+# A codec is a (write(value, field), read(json)) pair; `field` names the
+# field in the producer's digit-limit errors.
+_INDEX = (lambda value, field: value, _int)  # orders, offsets, exponents: JSON ints
+_BIG = (_written, _int)  # large integers: JSON ints
+_RATIONAL = (_rat, _rational)  # "p/q" strings
+_DECIMAL = (_rat, _int)  # integers as decimal strings
+
+
+def _list_of(codec):
+    write, read = codec
+    return lambda vs, field: [write(v, field) for v in vs], lambda vs: tuple(map(read, vs))
+
+
+def _optional(codec):
+    write, read = codec
+    return (
+        lambda v, field: None if v is None else write(v, field),
+        lambda v: None if v is None else read(v),
+    )
+
+
+_POLYNOMIAL = (
+    lambda poly, field: [_rat(c, field) for c in poly.coeffs],
+    lambda coeffs: Polynomial(tuple(map(_rational, coeffs))),
+)
+_HANKEL_WITNESSES = (
+    lambda witnesses, field: [
+        {"order": k, "offset": at, "determinant": _rat(det, "hankel.determinant")}
+        for k, at, det in witnesses
+    ],
+    lambda witnesses: tuple(
+        (_int(w["order"]), _int(w["offset"]), _int(w["determinant"])) for w in witnesses
+    ),
+)
+
+# The cfinite-cert/1 form: each certificate's kind tag and its fields in
+# constructor order, each with its codec.  The writer and the reader loop
+# over it, and validate_document refuses a document that differs from what
+# the writer gives, so this table is the one definition of the written form.
+_FORMAT = {
+    ParityCertificate: ("parity", (
+        ("coprime_vector", _list_of(_BIG)), ("odd_index", _INDEX), ("exponent", _INDEX),
+        ("window_start", _INDEX), ("parity_table", _list_of(_INDEX)),
+        ("residual", _optional(_BIG)),
+    )),
+    PolynomialCertificate: ("polynomial", (
+        ("order", _INDEX), ("coefficients", _list_of(_RATIONAL)), ("polynomial", _POLYNOMIAL),
+        ("value_at_minus_order", _RATIONAL), ("witness_index", _INDEX), ("residual", _RATIONAL),
+    )),
+    HankelCertificate: ("hankel", (("order_bound", _INDEX), ("witnesses", _HANKEL_WITNESSES))),
+    GfMismatchCertificate: ("gf-mismatch", (
+        ("numerator", _POLYNOMIAL), ("denominator", _POLYNOMIAL), ("mismatch_index", _INDEX),
+        ("series_value", _RATIONAL), ("catalan_value", _DECIMAL),
+    )),
+}
 
 
 def certificate_to_fields(cert) -> dict:
-    if isinstance(cert, ParityCertificate):
-        return {
-            "kind": "parity",
-            "coprime_vector": [
-                _written(a, "parity.coprime_vector") for a in cert.coprime_vector
-            ],
-            "odd_index": cert.odd_index,
-            "exponent": cert.exponent,
-            "window_start": cert.window_start,
-            "parity_table": list(cert.parity_table),
-            "residual": (
-                None if cert.residual is None else _written(cert.residual, "parity.residual")
-            ),
-        }
-    if isinstance(cert, PolynomialCertificate):
-        return {
-            "kind": "polynomial",
-            "order": cert.order,
-            "coefficients": [_rat(c, "polynomial.coefficients") for c in cert.coefficients],
-            "polynomial": _poly_fields(cert.polynomial, "polynomial.polynomial"),
-            "value_at_minus_order": _rat(
-                cert.value_at_minus_order, "polynomial.value_at_minus_order"
-            ),
-            "witness_index": cert.witness_index,
-            "residual": _rat(cert.residual, "polynomial.residual"),
-        }
-    if isinstance(cert, HankelCertificate):
-        return {
-            "kind": "hankel",
-            "order_bound": cert.order_bound,
-            "witnesses": [
-                {"order": k, "offset": offset, "determinant": _rat(det, "hankel.determinant")}
-                for k, offset, det in cert.witnesses
-            ],
-        }
-    if isinstance(cert, GfMismatchCertificate):
-        return {
-            "kind": "gf-mismatch",
-            "numerator": _poly_fields(cert.numerator, "gf-mismatch.numerator"),
-            "denominator": _poly_fields(cert.denominator, "gf-mismatch.denominator"),
-            "mismatch_index": cert.mismatch_index,
-            "series_value": _rat(cert.series_value, "gf-mismatch.series_value"),
-            "catalan_value": _rat(cert.catalan_value, "gf-mismatch.catalan_value"),
-        }
-    raise TypeError(f"not a certificate: {type(cert).__name__}")
+    if type(cert) not in _FORMAT:
+        raise TypeError(f"not a certificate: {type(cert).__name__}")
+    kind, fields = _FORMAT[type(cert)]
+    written = {name: write(getattr(cert, name), f"{kind}.{name}") for name, (write, _) in fields}
+    return {"kind": kind, **written}
 
 
 def certificate_from_fields(fields: dict):
     try:
         kind = fields["kind"]
-        if kind == "parity":
-            return ParityCertificate(
-                tuple(_int(a) for a in fields["coprime_vector"]),
-                _int(fields["odd_index"]),
-                _int(fields["exponent"]),
-                _int(fields["window_start"]),
-                tuple(_int(b) for b in fields["parity_table"]),
-                None if fields["residual"] is None else _int(fields["residual"]),
-            )
-        if kind == "polynomial":
-            return PolynomialCertificate(
-                _int(fields["order"]),
-                tuple(_rational(c) for c in fields["coefficients"]),
-                _poly_from_fields(fields["polynomial"]),
-                _rational(fields["value_at_minus_order"]),
-                _int(fields["witness_index"]),
-                _rational(fields["residual"]),
-            )
-        if kind == "hankel":
-            return HankelCertificate(
-                _int(fields["order_bound"]),
-                tuple(
-                    (_int(w["order"]), _int(w["offset"]), _int(w["determinant"]))
-                    for w in fields["witnesses"]
-                ),
-            )
-        if kind == "gf-mismatch":
-            return GfMismatchCertificate(
-                _poly_from_fields(fields["numerator"]),
-                _poly_from_fields(fields["denominator"]),
-                _int(fields["mismatch_index"]),
-                _rational(fields["series_value"]),
-                _int(fields["catalan_value"]),
-            )
+        for cls, (tag, codecs) in _FORMAT.items():
+            if kind == tag:
+                return cls(**{name: read(fields[name]) for name, (_, read) in codecs})
     except _MALFORMED as exc:
         raise CertificateError(f"malformed certificate fields: {exc}") from exc
     raise CertificateError(f"unknown certificate kind {fields.get('kind')!r}")
@@ -628,9 +599,11 @@ def parse_bundle(text: str) -> RefutationBundle:
 def validate_document(doc: dict) -> RefutationBundle:
     """Full standalone validation of a serialized document.
 
-    Checks the schema tag, the payload digest, every certificate's own
-    validity, and that each certificate actually refers to the document's
-    candidate recurrence.  Raises CertificateError on the first failure.
+    Checks the schema tag, the payload digest, that the document is what
+    bundle_to_document writes for its bundle (no extra key, no "6/1" for
+    "6"), every certificate's own validity, and that each certificate
+    actually refers to the document's candidate recurrence.  Raises
+    CertificateError on the first failure.
     """
     if not isinstance(doc, dict):
         raise CertificateError("document must be a JSON object")
@@ -650,6 +623,10 @@ def validate_document(doc: dict) -> RefutationBundle:
     order = doc["candidate"].get("order")
     if type(order) is not int or order != bundle.candidate.order:
         raise CertificateError("candidate order does not match its coefficient list")
+    if bundle_to_document(bundle)["sha256"] != doc["sha256"]:
+        raise CertificateError(
+            "document is not in its written form: a field is unknown or not canonical"
+        )
     for cert in bundle.certificates:
         validate_certificate(cert)
         _check_candidate_link(cert, bundle.candidate)
@@ -669,7 +646,7 @@ def _check_candidate_link(cert, candidate: LinearRecurrence) -> None:
                 f"coprime normalization {expected}"
             )
     elif isinstance(cert, PolynomialCertificate):
-        if cert.coefficients != tuple(Fraction(c) for c in candidate.coefficients):
+        if cert.coefficients != candidate.coefficients:
             raise CertificateError("polynomial certificate coefficients differ from candidate")
     elif isinstance(cert, HankelCertificate):
         if cert.order_bound < candidate.order:

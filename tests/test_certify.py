@@ -17,7 +17,6 @@ import cfinite.certify as certify_module
 from cfinite import linalg
 from cfinite.certify import (
     bundle_to_document,
-    candidate_residual,
     certificate_from_fields,
     certificate_to_fields,
     GfMismatchCertificate,
@@ -48,6 +47,15 @@ from cfinite.seqcore import catalan_closed, catalan_convolution
 TIMES_FOUR = LinearRecurrence((4,))
 BIG_DENOMINATORS = LinearRecurrence((Fraction(1, 10**2500 + 1), Fraction(1, 10**2500 + 3)))
 EMPTY = LinearRecurrence(())
+
+
+def candidate_residual(coefficients, n: int) -> Fraction:
+    """sum_{j<k} a_j C_{n+j} - C_{n+k}, exactly: the residual oracle."""
+    k = len(coefficients)
+    acc = -Fraction(catalan_closed(n + k))
+    for j, a in enumerate(coefficients):
+        acc += Fraction(a) * catalan_closed(n + j)
+    return acc
 
 
 def _forge_fields(text, edit, *replacements):
@@ -145,6 +153,27 @@ HOLE_FORGERIES = {
 }
 
 
+THREE = LinearRecurrence((3,))
+
+
+def _forge_candidate(**fields):
+    text = serialize_bundle(refute_all(THREE))
+    return _forge_fields(text, lambda doc: doc["candidate"].update(fields))
+
+
+# Re-digested THREE bundles in forms the writer never writes (its parity
+# table is (1, 0), its gf numerator x and p(-1) = 6).  Each reads as the
+# genuine bundle, and each validated before a document had one written form.
+NON_CANONICAL_FORMS = {
+    "parity_table_string": lambda: _forge_kind(THREE, "parity", parity_table="10"),
+    "numerator_string": lambda: _forge_kind(THREE, "gf-mismatch", numerator="01"),
+    "unreduced_rational": lambda: _forge_kind(THREE, "polynomial", value_at_minus_order="6/1"),
+    "order_string": lambda: _forge_kind(THREE, "polynomial", order="1"),
+    "extra_certificate_key": lambda: _forge_kind(THREE, "hankel", note="unchecked"),
+    "candidate_coefficients_string": lambda: _forge_candidate(coefficients="3"),
+}
+
+
 def hankel_past_cap_text() -> str:
     """A TIMES_FOUR bundle whose Hankel certificate is consistent in size but
     one order past HANKEL_ORDER_CAP (determinants unchecked), digest recomputed."""
@@ -158,11 +187,16 @@ FORGERY_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 24)
 
 
 @functools.cache
-def genuine_text(k: int) -> str:
-    """A serialized refute_all bundle of a random order-k candidate."""
+def genuine_bundle(k: int) -> RefutationBundle:
+    """The refute_all bundle of a random order-k candidate."""
     rng = random.Random(37 + k)
     coeffs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k))
-    return serialize_bundle(refute_all(LinearRecurrence(coeffs)))
+    return refute_all(LinearRecurrence(coeffs))
+
+
+@functools.cache
+def genuine_text(k: int) -> str:
+    return serialize_bundle(genuine_bundle(k))
 
 
 def forge_polynomial(cert, extra_degree=0):
@@ -626,10 +660,27 @@ class TestSerialization:
             assert serialize_bundle(parse_bundle(text)) == text
 
     def test_certificate_fields_round_trip(self):
-        bundle = refute_all(TIMES_FOUR)
-        for cert in bundle.certificates:
-            fields = certificate_to_fields(cert)
-            assert certificate_from_fields(json.loads(json.dumps(fields))) == cert
+        for k in range(10):
+            for cert in genuine_bundle(k).certificates:
+                fields = certificate_to_fields(cert)
+                assert certificate_from_fields(json.loads(json.dumps(fields))) == cert
+
+    def test_format_table_matches_the_certificate_types(self):
+        table = certify_module._FORMAT
+        assert set(table) == set(certify_module._VALIDATORS)
+        kinds = [kind for kind, _ in table.values()]
+        assert sorted(kinds) == sorted(set(kinds))
+        for cls, (_, fields) in table.items():
+            assert [name for name, _ in fields] == [f.name for f in dataclasses.fields(cls)]
+
+    @pytest.mark.parametrize("name", sorted(NON_CANONICAL_FORMS))
+    def test_non_canonical_forms_refused(self, name):
+        text = NON_CANONICAL_FORMS[name]()
+        assert parse_bundle(text) == refute_all(THREE)
+        with pytest.raises(CertificateError, match="not in its written form"):
+            validate_serialized(text)
+        with pytest.raises(CertificateError, match="not in its written form"):
+            validate_document(json.loads(text))
 
     def test_serialized_validates_standalone(self):
         text = serialize_bundle(refute_all(TIMES_FOUR))

@@ -20,6 +20,7 @@ from test_certify import (
     forged_polynomial_text,
     hankel_past_cap_text,
     HOLE_FORGERIES,
+    NON_CANONICAL_FORMS,
     NUMBER_TYPE_FORGERIES,
 )
 
@@ -344,6 +345,15 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
         assert code == 1
         assert json.loads(out)["status"] == "invalid"
+
+    @pytest.mark.parametrize("name", sorted(NON_CANONICAL_FORMS))
+    def test_non_canonical_form_is_invalid(self, capsys, tmp_path, name):
+        path = tmp_path / "cert.json"
+        path.write_text(NON_CANONICAL_FORMS[name]())
+        code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "invalid" and "written form" in doc["payload"]["reason"]
 
     def test_hankel_bound_past_the_cap_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "cert.json"

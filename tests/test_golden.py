@@ -18,6 +18,7 @@ import pytest
 
 from cfinite import linalg
 from cfinite.certify import (
+    parse_bundle,
     refute_all,
     refute_by_parity,
     RefutationBundle,
@@ -70,8 +71,10 @@ def test_fixture_regenerates_byte_for_byte(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_fixture_validates(name):
-    bundle = validate_serialized(_path(name).read_text())
+    text = _path(name).read_text()
+    bundle = validate_serialized(text)
     assert bundle == GOLDEN[name]()
+    assert serialize_bundle(parse_bundle(text)) == text
 
 
 # Standard output of cfinite commands, byte for byte; file name -> argv.
