@@ -30,14 +30,14 @@ _EXPORTS = {
     ),
     "gfseries": (
         "catalan_gf", "degree_parity_check", "expand_rational", "pade_reconstruct",
-        "rational_gf", "RationalFunction", "sqrt_one_minus_4x", "TruncatedSeries",
+        "Polynomial", "rational_gf", "RationalFunction", "sqrt_one_minus_4x",
+        "TruncatedSeries",
     ),
     "linalg": (),
     "powersum": (
         "binet_form", "catalan_asymptotic_constant", "characteristic_polynomial",
         "DominantPart", "dominant_part", "evaluate_powersum", "falling_factorial",
-        "Polynomial", "polynomial_roots", "PowerSum", "tail_lower_bound_check",
-        "vandermonde_modulus",
+        "polynomial_roots", "PowerSum", "tail_lower_bound_check", "vandermonde_modulus",
     ),
     "recurrence": (
         "descend_field", "guess_recurrence", "hankel_nonsingular_witness",

@@ -36,8 +36,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import CertificateError, ResourceLimitError
-from .gfseries import expand_rational, rational_gf, RationalFunction
-from .powersum import linear_factor_product, Polynomial
+from .gfseries import expand_rational, linear_factor_product, Polynomial, rational_gf, RationalFunction
 from .recurrence import LinearRecurrence, normalize_coprime
 from .schema import canonical_json as _canonical_json, SCHEMA_TAG
 from .seqcore import catalan_closed, catalan_is_odd

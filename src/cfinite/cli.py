@@ -17,8 +17,10 @@ a --ballot-cap above seqcore.BALLOT_CAP_MAX, or a Hankel order bound above
 certify.HANKEL_ORDER_CAP, also in a document given to validate).
 
 Start-up imports only what parsing and JSON output need (seqcore, errors,
-schema); each handler imports its own engines, so `catalan` never loads
-certify, recurrence or powersum, and only refute and validate load certify.
+schema); each handler imports its own engines.  `catalan` loads nothing
+more; `guess` adds recurrence and linalg; `gf catalan` adds gfseries and
+linalg, and a recurrence spec adds recurrence; refute and validate load
+certify with gfseries, recurrence and linalg.  Only binet loads powersum.
 """
 
 import argparse
@@ -210,6 +212,8 @@ def _hankel_evidence(seq: Sequence, max_order: int):
 def _cmd_guess(args) -> CommandResult:
     from . import recurrence
 
+    if args.max_order < 0:
+        raise ValueError(f"--max-order must be at least 0, got {args.max_order}")
     seq, note = _load_guess_sequence(args)
     lines = []
     if note:
@@ -387,8 +391,9 @@ def _cmd_binet(args) -> CommandResult:
 
 def _cmd_gf(args) -> CommandResult:
     from . import gfseries
-    from .recurrence import LinearRecurrence
 
+    if args.truncation < 0:
+        raise ValueError(f"--truncation must be at least 0, got {args.truncation}")
     if args.spec.strip().lower() == "catalan":
         order = max(args.truncation, 1)
         series = gfseries.catalan_gf(order)
@@ -408,6 +413,8 @@ def _cmd_gf(args) -> CommandResult:
             "quadratic_identity": ok,
         }
         return CommandResult(_wrap("gf", "ok", payload), lines, 0 if ok else 1)
+    from .recurrence import LinearRecurrence
+
     coefficients = parse_rational_list(args.spec)
     candidate = LinearRecurrence(coefficients)
     initial = parse_rational_list(args.initial) if args.initial else ()

@@ -10,6 +10,12 @@ the Vandermonde distance product, and the window lower bound
 max_i |v(n+i)| >= prod|beta_v - beta_u| * max|gamma_j| / l!  obtained from
 Cramer's rule, which is the computable content of the no-dominant-root
 asymptotic argument.
+
+This is the numeric and Binet tier; only `binet_form` and the asymptotic
+checks need it.  The exact polynomial arithmetic it builds on
+(`Polynomial`, `poly_gcd`, `linear_factor_product`) lives in `gfseries`,
+so certificates and series never load this module; `Polynomial` and
+`poly_gcd` stay importable from here as the same objects.
 """
 
 import math
@@ -19,280 +25,10 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import RootFindingError, SingularSystemError
+from .gfseries import _is_exact, linear_factor_product, Polynomial
+from .gfseries import poly_gcd as poly_gcd  # re-export: callers import it from here
 from .recurrence import LinearRecurrence
 from .seqcore import catalan_closed
-
-
-def _is_exact(value) -> bool:
-    return isinstance(value, (int, Fraction))
-
-
-def convolve(x, y, length: int) -> list:
-    """Coefficients 0..length-1 of the product of coefficient lists x and y.
-
-    Zero coefficients of the outer operand x are skipped, so passing the
-    shorter or sparser operand as x does the least work.
-    """
-    out = [0] * length
-    for i, a in enumerate(x[:length]):
-        if a == 0:
-            continue
-        end = min(length, i + len(y))
-        out[i:end] = [c + a * b for c, b in zip(out[i:end], y)]
-    return out
-
-
-class Polynomial:
-    """Dense univariate polynomial; coefficients low order first.
-
-    Coefficients are exact (int / Fraction) or complex floats.  The zero
-    polynomial has an empty coefficient tuple and degree -1.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def x(cls):
-        return cls((0, 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    @property
-    def leading(self):
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_exact(self) -> bool:
-        return all(_is_exact(c) for c in self.coeffs)
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction, complex, float)):
-            return self == Polynomial((other,))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial((other,))
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial((other,))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return Polynomial(tuple(c * other for c in self.coeffs))
-        outer, inner = self.coeffs, other.coeffs
-        if len(outer) > len(inner):
-            outer, inner = inner, outer
-        return Polynomial(convolve(outer, inner, len(outer) + len(inner) - 1))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = Polynomial((1,))
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __divmod__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial((other,))
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [0] * max(0, len(rem) - len(other.coeffs) + 1)
-        lead = other.leading
-        if _is_exact(lead):
-            lead = Fraction(lead)  # keep int coefficient division exact
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + other.degree] / lead
-            quot[i] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return Polynomial(tuple(quot)), Polynomial(tuple(rem[: other.degree]))
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def derivative(self):
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def monic(self):
-        if self.is_zero:
-            return self
-        lead = self.leading
-        return Polynomial(tuple(Fraction(c) / lead if _is_exact(c) else c / lead for c in self.coeffs))
-
-    def __repr__(self):
-        return f"Polynomial({self.coeffs!r})"
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        if not self.is_exact():
-            return " + ".join(
-                f"({c})*x^{i}" if i else f"({c})"
-                for i, c in enumerate(self.coeffs)
-                if c != 0
-            )
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                body = str(abs(c))
-            else:
-                xpow = "x" if i == 1 else f"x^{i}"
-                body = xpow if abs(c) == 1 else f"{abs(c)}*{xpow}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-
-def _primitive_ints(poly: Polynomial) -> list:
-    """Integer coefficients of the primitive part, positive leading term."""
-    ints, _ = linalg.clear_denominators(poly.coeffs)
-    g = math.gcd(*ints)
-    if ints[-1] < 0:
-        g = -g
-    return [c // g for c in ints]
-
-
-def _pseudo_mod(fa: list, fb: list) -> list:
-    """Primitive remainder of fa modulo fb, up to scalars, integers only.
-
-    Scaling by the leading coefficient instead of dividing keeps every step
-    in the integers; the content is stripped after each elimination so the
-    coefficients stay small.  Scalars do not matter for gcd purposes.
-    """
-    rem = list(fa)
-    lead = fb[-1]
-    while len(rem) >= len(fb):
-        top = rem.pop()
-        if top == 0:
-            continue
-        rem = [lead * r for r in rem]
-        shift = len(rem) - (len(fb) - 1)
-        for j, b in enumerate(fb[:-1]):
-            rem[shift + j] -= top * b
-        if any(rem):
-            g = math.gcd(*rem)
-            rem = [r // g for r in rem]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
-
-
-# Any prime > all interesting degrees works for the coprimality filter; a
-# fixed 61-bit Mersenne prime keeps the reduction in machine-assisted ints.
-_FILTER_PRIME = (1 << 61) - 1
-
-
-def _coprime_mod_prime(fa: list, fb: list) -> bool:
-    """True only when gcd(fa, fb) over Q is provably constant.
-
-    If the prime divides neither leading coefficient, the gcd degree over Q
-    is at most the gcd degree mod the prime, so a constant modular gcd
-    certifies coprimality.  Returns False when inconclusive.
-    """
-    p = _FILTER_PRIME
-    if fa[-1] % p == 0 or fb[-1] % p == 0:
-        return False
-    a = [c % p for c in fa]
-    b = [c % p for c in fb]
-    while True:
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            return len(a) == 1
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        inv = pow(b[-1], -1, p)
-        for i in range(len(a) - len(b), -1, -1):
-            c = a[i + len(b) - 1] * inv % p
-            if c:
-                for j, bc in enumerate(b):
-                    a[i + j] = (a[i + j] - c * bc) % p
-        a, b = b, a[: len(b) - 1]
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over the rationals.
-
-    Coprimality (the generic case) is certified by a cheap modular filter;
-    otherwise a primitive pseudo-remainder sequence runs over the integers.
-    The naive Euclidean algorithm on Fraction coefficients blows up
-    coefficient sizes already around degree 100.
-    """
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    if not (a.is_exact() and b.is_exact()):
-        raise ValueError("polynomial gcd needs exact coefficients")
-    fa, fb = _primitive_ints(a), _primitive_ints(b)
-    if len(fa) == 1 or len(fb) == 1:
-        return Polynomial((Fraction(1),))
-    if _coprime_mod_prime(fa, fb):
-        return Polynomial((Fraction(1),))
-    while True:
-        if len(fb) > len(fa):
-            fa, fb = fb, fa
-        rem = _pseudo_mod(fa, fb)
-        if not rem:
-            break
-        fa, fb = fb, rem
-    lead = fb[-1]
-    return Polynomial(tuple(Fraction(c, lead) for c in fb))
 
 
 def characteristic_polynomial(rec: LinearRecurrence) -> Polynomial:
@@ -605,15 +341,6 @@ def tail_lower_bound_check(dp: DominantPart, n: int) -> TailBound:
     )
     bound = vandermonde_modulus(betas) * max(abs(g) for g in gammas) / math.factorial(l)
     return TailBound(observed, bound)
-
-
-def linear_factor_product(factors) -> Polynomial:
-    """Product of the linear polynomials c + d*x over the pairs (c, d) in
-    factors, multiplied in the given order; the empty product is 1."""
-    poly = Polynomial((1,))
-    for c, d in factors:
-        poly = poly * Polynomial((c, d))
-    return poly
 
 
 def falling_factorial(k: int) -> Polynomial:

@@ -206,7 +206,10 @@ def _half_words(h: int) -> tuple:
 
 def _bitset(codes: bytes, wanted) -> int:
     """The int whose bit w is set iff codes[w] is in wanted."""
-    table = bytes(ord("1") if c in wanted else ord("0") for c in range(256))
+    table = bytearray(b"0" * 256)
+    for c in wanted:
+        if 0 <= c < 256:  # table[-1] would be code 255, the dip marker
+            table[c] = ord("1")
     return int(codes[::-1].translate(table), 2)
 
 

@@ -183,6 +183,13 @@ class TestGuessCommand:
         assert code == 2
         assert "supply" in err
 
+    def test_negative_max_order_is_named(self, capsys):
+        # terms were supplied, so the error names the bad bound, not the terms
+        code, _, err = run(capsys, "guess", "--terms", "1,2,3", "--max-order", "-1")
+        assert code == 2
+        assert "--max-order must be at least 0, got -1" in err
+        assert "no terms" not in err
+
 
 def reference_hankel_evidence(seq, max_order):
     """One determinant per order and offset, as the guess command searched
@@ -421,3 +428,28 @@ class TestGfCommand:
         code, out, _ = run(capsys, "gf", "", "--initial", "")
         assert code == 0
         assert "generating function: 0" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gf", "catalan", "--truncation", "-3"),
+            ("gf", "1,1", "--initial", "1,1", "--truncation", "-5"),
+        ],
+        ids=["catalan", "recurrence"],
+    )
+    def test_negative_truncation_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "--truncation must be at least 0" in err
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 2
+        assert json.loads(out)["status"] == "error"
+
+    def test_zero_truncation_keeps_its_output(self, capsys):
+        # catalan still prints coefficients 0..1; a recurrence still expands to its order
+        code, out, _ = run(capsys, "gf", "catalan", "--truncation", "0")
+        assert code == 0
+        assert out.splitlines()[:3] == ["# Catalan generating function, coefficients 0..1", "0 0", "1 1"]
+        code, out, _ = run(capsys, "gf", "1,1", "--initial", "1,1", "--truncation", "0")
+        assert code == 0
+        assert "series: 0, 1, 1, ..." in out

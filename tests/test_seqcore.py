@@ -7,6 +7,8 @@ import pytest
 
 from cfinite.errors import MixedRadicandError, ResourceLimitError
 from cfinite.seqcore import (
+    _bitset,
+    _half_words,
     BALLOT_CAP_DEFAULT,
     BALLOT_CAP_MAX,
     catalan_ballot,
@@ -67,6 +69,21 @@ class TestCatalanBallot:
         # refused from the cap alone, before any word is enumerated
         with pytest.raises(ResourceLimitError, match="above 17"):
             catalan_ballot(2, cap=BALLOT_CAP_MAX + 1)
+
+    @pytest.mark.parametrize("h", range(1, 13))
+    def test_bitset_matches_a_full_table(self, h):
+        # the sets catalan_ballot passes at this h, negative heights included;
+        # a height of -1 must not mark the dip marker 255
+        def full_table_bitset(codes, wanted):
+            table = bytes(ord("1") if c in wanted else ord("0") for c in range(256))
+            return int(codes[::-1].translate(table), 2)
+
+        heights, lows = _half_words(h)
+        codes = bytes(x if m >= 0 else 255 for x, m in zip(heights, lows))
+        assert 255 in codes
+        wanted_sets = [{v} for v in range(-h, h + 1)] + [range(t, h + 1) for t in range(h + 1)]
+        for wanted in wanted_sets:
+            assert _bitset(codes, wanted) == full_table_bitset(codes, wanted), wanted
 
 
 class TestCatalanConvolution:

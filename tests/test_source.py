@@ -69,6 +69,8 @@ def _imported(*args) -> set:
     return names
 
 
+CERTIFICATE = Path(__file__).resolve().parent / "fixtures" / "order2.json"
+
 # cfinite argv -> (modules it must import, modules it must not import)
 FOOTPRINTS = {
     ("catalan", "-n", "13", "--json"): (
@@ -81,7 +83,16 @@ FOOTPRINTS = {
     ),
     ("gf", "catalan", "--json"): (
         {"cfinite.gfseries"},
-        {"cfinite.certify", "hashlib", "numpy"},
+        {"cfinite.certify", "hashlib", "cfinite.powersum", "cfinite.recurrence", "numpy"},
+    ),
+    # certificates use exact polynomials from gfseries, never the numeric tier
+    ("refute", "4", "--json"): (
+        {"cfinite.certify", "cfinite.gfseries", "cfinite.recurrence", "cfinite.linalg", "hashlib"},
+        {"cfinite.powersum", "numpy"},
+    ),
+    ("validate", "--input", str(CERTIFICATE), "--json"): (
+        {"cfinite.certify", "cfinite.gfseries", "cfinite.recurrence", "cfinite.linalg", "hashlib"},
+        {"cfinite.powersum", "numpy"},
     ),
 }
 
@@ -98,6 +109,12 @@ def test_package_import_loads_no_submodule():
     imported = _imported("-c", "import cfinite")
     assert "cfinite" in imported
     assert {name for name in imported if name.startswith("cfinite.")} == set()
+
+
+def test_package_polynomial_leaves_the_numeric_tier_unloaded():
+    imported = _imported("-c", "import cfinite; cfinite.Polynomial")
+    assert "cfinite.gfseries" in imported
+    assert "cfinite.powersum" not in imported
 
 
 # The names `cfinite` re-exported when its __init__ imported every submodule.
@@ -189,6 +206,8 @@ def test_no_unused_imports():
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
+                    if alias.asname == alias.name:
+                        continue  # `import x as x`: a deliberate re-export
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in used:
                         found.append(f"{name}:{node.lineno} {bound}")
