@@ -12,8 +12,8 @@ using nothing but exact Catalan values and the certificate fields:
   turns it into a polynomial identity p(n) = 0 whose value at -k is a
   nonzero closed form independent of the coefficients, so p != 0 and some
   witness index in [1, 3k+1] has a nonzero exact residual.
-* hankel: nonzero exact window determinants rule out every order up to a
-  bound on the examined rows.
+* hankel: nonzero exact offset-1 window determinants rule out every order
+  up to a bound on the examined rows.
 * gf mismatch: the rational generating function the candidate would force
   disagrees with the Catalan series at an explicit coefficient.
 
@@ -46,7 +46,7 @@ from .seqcore import catalan_closed, catalan_is_odd
 EXACT_RESIDUAL_CAP = 5000
 
 # Largest Hankel order bound either side handles: the Bareiss pass is cubic
-# in the bound (about 0.2 s at 128 and 2 s at 256 on one x86-64 core).
+# in the bound (about 0.2 s at 128 and 2.7 s at 256 on one x86-64 core).
 HANKEL_ORDER_CAP = 256
 
 
@@ -83,7 +83,7 @@ class HankelCertificate:
     """Nonzero window determinants for every order up to the bound."""
 
     order_bound: int
-    witnesses: tuple  # (order, offset, exact determinant) per order
+    witnesses: tuple  # (order, 1, exact determinant) per order: offset-1 windows
 
 
 @dataclass(frozen=True)
@@ -263,10 +263,10 @@ def validate_polynomial(cert: PolynomialCertificate) -> None:
         raise CertificateError("residual must be nonzero")
 
 
-def _catalan_hankel_minors(offset: int, order_bound: int) -> list:
-    """Order-k Catalan window determinants at `offset` for every k <= bound,
-    from one pass over C_offset..C_{offset+2*bound} (see linalg.hankel_minors)."""
-    return linalg.hankel_minors(_catalan_table(offset, 2 * order_bound + 1))
+def _catalan_hankel_minors(order_bound: int) -> list:
+    """Order-k Catalan window determinants at offset 1 for every k <= bound,
+    from one pass over C_1..C_{2*bound+1} (see linalg.hankel_minors)."""
+    return linalg.hankel_minors(_catalan_table(1, 2 * order_bound + 1))
 
 
 def refute_by_hankel(order_bound: int) -> HankelCertificate:
@@ -275,7 +275,7 @@ def refute_by_hankel(order_bound: int) -> HankelCertificate:
     if order_bound < 0:
         raise ValueError(f"need order bound >= 0, got {order_bound}")
     _check_hankel_cap(order_bound)
-    minors = _catalan_hankel_minors(1, order_bound)
+    minors = _catalan_hankel_minors(order_bound)
     if minors[-1] == 0:
         raise CertificateError(
             f"unexpected singular Catalan window at order {len(minors) - 1}"
@@ -291,16 +291,16 @@ def _check_hankel_cap(bound: int) -> None:
 
 
 def validate_hankel(cert: HankelCertificate) -> None:
-    """Recheck every determinant from exact Catalan windows.
+    """Recheck every determinant against one pass of offset-1 Catalan windows.
 
-    Witnesses sharing an offset are recomputed together, from one pass at
-    the largest order that uses the offset.  Catalan Hankel minors are
-    positive at every offset (Aigner, JCTA 87, 1999), so no genuine
-    certificate needs a witness at or past a zero minor; such a witness is
-    rejected.  The witness count and every offset are checked before any
-    range or Catalan value is built: an offset is at most 2K + 1 (K the
-    bound), so no window reads past C_{4K+1}, as the polynomial check does.
-    A consistent bound past HANKEL_ORDER_CAP raises ResourceLimitError.
+    The determinant argument needs only the offset-1 window determinants
+    (all 1: Aigner, JCTA 87, 1999), so the witnesses must be exactly
+    (k, 1, det) for k = 0..K (K the bound); the count and this layout are
+    checked before any Catalan value is built, so no window reads past
+    C_{2K+1} and an accepted document costs the producer's one pass.  The
+    pass runs in order, so the first zero minor fails as a mismatch with the
+    nonzero stored determinant.  A consistent bound past HANKEL_ORDER_CAP
+    raises ResourceLimitError.
     """
     bound = cert.order_bound
     if bound < 0 or len(cert.witnesses) != bound + 1:
@@ -308,26 +308,14 @@ def validate_hankel(cert: HankelCertificate) -> None:
             f"{len(cert.witnesses)} witness(es) cannot cover orders 0..{bound}"
         )
     _check_hankel_cap(bound)
-    orders = [w[0] for w in cert.witnesses]
-    if orders != list(range(bound + 1)):
-        raise CertificateError(f"witnesses must cover orders 0..{bound}, found {orders}")
-    largest = {}
-    for k, offset, _ in cert.witnesses:
-        if not 1 <= offset <= 2 * bound + 1:
-            raise CertificateError(f"offset {offset} outside 1..{2 * bound + 1}")
-        largest[offset] = max(largest.get(offset, k), k)
-    minors = {}
-    for k, offset, det in cert.witnesses:
+    for k, (order, offset, _) in enumerate(cert.witnesses):
+        if (order, offset) != (k, 1):
+            raise CertificateError(
+                f"witness {k} is at order {order}, offset {offset}; need order {k}, offset 1"
+            )
+    for (k, _, det), recomputed in zip(cert.witnesses, _catalan_hankel_minors(bound)):
         if det == 0:
             raise CertificateError(f"zero determinant certifies nothing at order {k}")
-        if offset not in minors:
-            minors[offset] = _catalan_hankel_minors(offset, largest[offset])
-        if k >= len(minors[offset]):
-            raise CertificateError(
-                f"order {k}: the order-{len(minors[offset]) - 1} window at offset "
-                f"{offset} is already singular"
-            )
-        recomputed = minors[offset][k]
         if recomputed != det:
             raise CertificateError(
                 f"order {k}: stored determinant {det} != recomputed {recomputed}"
@@ -363,7 +351,7 @@ def validate_gf(cert: GfMismatchCertificate) -> None:
     satisfy the recurrence of q from index d + 1 on, so the order-e Catalan
     window matrix at offset d + 1 - e >= 1 would have the kernel vector
     (q_e, ..., q_1, 1); Catalan Hankel minors are positive at every offset
-    (see validate_hankel), so the first mismatch is at most 2d + 1.
+    (Aigner, JCTA 87, 1999), so the first mismatch is at most 2d + 1.
     """
     if cert.denominator(0) == 0:
         raise CertificateError("denominator must be nonzero at 0")

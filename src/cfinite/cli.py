@@ -407,6 +407,8 @@ def _cmd_gf(args) -> CommandResult:
             for n in range(order + 1)
         )
         lines.append(f"# (2C - 1)^2 = 1 - 4x: {'OK' if ok else 'FAILED'}")
+        if order > args.truncation:
+            lines.append(f"note: --truncation {args.truncation} raised to {order}")
         payload = {
             "series": "catalan",
             "coefficients": [str(c) for c in series.coefficients],
@@ -420,9 +422,14 @@ def _cmd_gf(args) -> CommandResult:
     initial = parse_rational_list(args.initial) if args.initial else ()
     rf = gfseries.rational_gf(candidate, initial)
     lines = [f"generating function: {rf}"]
-    expansion = gfseries.expand_rational(rf, max(args.truncation, candidate.order))
+    truncation = max(args.truncation, candidate.order)
+    expansion = gfseries.expand_rational(rf, truncation)
     preview = ", ".join(str(c) for c in expansion.coefficients[:11])
     lines.append(f"series: {preview}, ...")
+    if truncation > args.truncation:
+        lines.append(
+            f"note: --truncation {args.truncation} raised to {truncation}, the recurrence's order"
+        )
     payload = {
         "numerator": str(rf.numerator),
         "denominator": str(rf.denominator),

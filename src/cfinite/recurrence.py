@@ -125,9 +125,9 @@ class VerificationResult:
 
 def iterate_recurrence(rec: LinearRecurrence, initial_terms, count: int) -> list:
     """First `count` terms generated from k initial terms by the recurrence."""
-    if len(tuple(initial_terms)) != rec.order:
-        raise ValueError(f"need {rec.order} initial terms")
     terms = [Fraction(t) if isinstance(t, int) else t for t in initial_terms]
+    if len(terms) != rec.order:
+        raise ValueError(f"need {rec.order} initial terms")
     while len(terms) < count:
         n = len(terms) - rec.order
         terms.append(sum(a * terms[n + j] for j, a in enumerate(rec.coefficients)))
@@ -149,6 +149,8 @@ def verify(seq: Sequence, rec: LinearRecurrence, span=None) -> VerificationResul
             )
         span = (1, len(seq) - k)
     lo, hi = span
+    if lo > hi:
+        raise InsufficientDataError(f"empty span: windows [{lo}, {hi}]")
     if lo < 1 or hi + k > len(seq):
         raise InsufficientDataError(
             f"windows [{lo}, {hi}] need terms up to {hi + k}, have {len(seq)}"

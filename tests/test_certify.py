@@ -109,10 +109,12 @@ def _forge_kind(candidate, kind, **fields):
     return _forge_fields(text, _set_kind(kind, lambda cert: cert.update(fields)))
 
 
-def _forge_first_offset(offset):
-    text = serialize_bundle(refute_all(TIMES_FOUR))
+def _forge_witness(order, bound=1, **fields):
+    """A TIMES_FOUR bundle with Hankel bound `bound`, the order-`order`
+    witness edited, digest recomputed."""
+    text = serialize_bundle(refute_all(TIMES_FOUR, hankel_bound=bound))
     return _forge_fields(
-        text, _set_kind("hankel", lambda cert: cert["witnesses"][0].update(offset=offset))
+        text, _set_kind("hankel", lambda cert: cert["witnesses"][order].update(fields))
     )
 
 
@@ -129,8 +131,13 @@ HOLE_FORGERIES = {
         lambda: _forge_kind(TIMES_FOUR, "hankel", order_bound=10**30),
         "cannot cover orders",
     ),
-    "hankel_offset": (lambda: _forge_first_offset(10**30), "outside 1..3"),
-    "hankel_offset_past_bound": (lambda: _forge_first_offset(4), "outside 1..3"),
+    "hankel_offset": (lambda: _forge_witness(0, offset=10**30), "need order 0, offset 1"),
+    "hankel_offset_past_bound": (lambda: _forge_witness(0, offset=4), "need order 0, offset 1"),
+    # a true minor at the wrong offset: the order-2 window determinant of C_5..C_9
+    "hankel_true_minor_at_offset_five": (
+        lambda: _forge_witness(2, bound=2, offset=5, determinant="330"),
+        "witness 2 is at order 2, offset 5",
+    ),
     "empty_certificate_list": (lambda: _forge_certificates([]), "no certificate"),
     "empty_certificate_object": (lambda: _forge_certificates({}), "no certificate"),
     "gf_far_index": (
@@ -371,9 +378,9 @@ class TestHankelEngine:
         bounds = []
         minors = certify_module._catalan_hankel_minors
 
-        def counting(offset, bound):
+        def counting(bound):
             bounds.append(bound)
-            return minors(offset, bound)
+            return minors(bound)
 
         monkeypatch.setattr(certify_module, "_catalan_hankel_minors", counting)
         refute_by_hankel(6)
@@ -415,29 +422,58 @@ class TestHankelEngine:
         for bound in (0, 1, 7, 13):
             assert refute_by_hankel(bound).witnesses == tuple(oracle[: bound + 1])
 
-    def test_validator_accepts_mixed_offsets(self):
+    def test_validator_refuses_mixed_offsets(self):
         seq = catalan_convolution(40)
         witnesses = tuple(
             (k, 1 + k % 3, int(hankel_nonsingular_witness(seq, k, 1 + k % 3)))
             for k in range(12)
         )
         assert {det for k, offset, det in witnesses if offset == 3} != {1}
-        validate_certificate(HankelCertificate(11, witnesses))
+        with pytest.raises(CertificateError, match="witness 1 is at order 1, offset 2"):
+            validate_certificate(HankelCertificate(11, witnesses))
 
-    def test_offsets_bounded_by_twice_the_order_bound(self):
+    def test_true_minor_off_offset_one_refused(self):
         seq = catalan_convolution(40)
         bound = 5
-        for offset, valid in ((2 * bound + 1, True), (2 * bound + 2, False)):
+        for offset in (2 * bound + 1, 2 * bound + 2):
             offsets = [1] * bound + [offset]
             witnesses = tuple(
                 (k, at, int(hankel_nonsingular_witness(seq, k, at))) for k, at in enumerate(offsets)
             )
-            cert = HankelCertificate(bound, witnesses)
-            if valid:
+            with pytest.raises(CertificateError, match=f"witness 5 is at order 5, offset {offset};"):
+                validate_certificate(HankelCertificate(bound, witnesses))
+
+    def test_layout_checked_before_any_catalan_value(self, monkeypatch):
+        # 330 is the true order-2 window determinant of C_5..C_9
+        assert linalg.hankel_minors([catalan_closed(n) for n in range(5, 10)])[2] == 330
+
+        def unreachable(start, count):
+            raise AssertionError("a Catalan value was built")
+
+        monkeypatch.setattr(certify_module, "_catalan_table", unreachable)
+        for witnesses, message in (
+            (((0, 1, 1), (1, 1, 1), (2, 5, 330)), "witness 2 is at order 2, offset 5; need order 2"),
+            (((0, 2, 1),), "witness 0 is at order 0, offset 2; need order 0"),
+            (((0, 1, 1), (1, 0, 1)), "witness 1 is at order 1, offset 0; need order 1"),
+            (((0, 1, 1), (1, 1, 1), (2, 10**30, 1)), f"witness 2 is at order 2, offset {10**30}"),
+            (((0, 1, 1), (2, 1, 1), (1, 1, 1)), "witness 1 is at order 2, offset 1; need order 1"),
+        ):
+            cert = HankelCertificate(len(witnesses) - 1, witnesses)
+            with pytest.raises(CertificateError, match=f"^{message}"):
                 validate_certificate(cert)
-            else:
-                with pytest.raises(CertificateError, match=f"offset {offset} outside 1..11"):
-                    validate_certificate(cert)
+
+    def test_validator_makes_one_pass(self, monkeypatch):
+        cert = refute_by_hankel(9)
+        bounds = []
+        minors = certify_module._catalan_hankel_minors
+
+        def counting(bound):
+            bounds.append(bound)
+            return minors(bound)
+
+        monkeypatch.setattr(certify_module, "_catalan_hankel_minors", counting)
+        validate_certificate(cert)
+        assert bounds == [9]
 
     def test_witness_count_checked_first(self):
         cert = refute_by_hankel(2)
@@ -476,18 +512,13 @@ class TestHankelEngine:
 
     def test_zero_minor(self, monkeypatch):
         # Catalan Hankel minors are never zero, so a singular window is
-        # simulated: a pass at offset 2 ends at a zero order-1 minor
-        def minors(offset, bound):
-            return [1, 0] if offset == 2 else [1] * (bound + 1)
-
-        monkeypatch.setattr(certify_module, "_catalan_hankel_minors", minors)
-        at_zero = HankelCertificate(1, ((0, 1, 1), (1, 2, 1)))
-        with pytest.raises(CertificateError, match="stored determinant 1 != recomputed 0"):
-            validate_certificate(at_zero)
-        past_zero = HankelCertificate(2, ((0, 2, 1), (1, 1, 1), (2, 2, 1)))
-        with pytest.raises(CertificateError, match="order 2: .* already singular"):
-            validate_certificate(past_zero)
-        monkeypatch.setattr(certify_module, "_catalan_hankel_minors", lambda offset, bound: [1, 0])
+        # simulated: the offset-1 pass ends at a zero order-1 minor, and the
+        # witnesses past it are never reached
+        monkeypatch.setattr(certify_module, "_catalan_hankel_minors", lambda bound: [1, 0])
+        for bound in (1, 2):
+            cert = HankelCertificate(bound, tuple((k, 1, 1) for k in range(bound + 1)))
+            with pytest.raises(CertificateError, match="^order 1: stored determinant 1 != recomputed 0$"):
+                validate_certificate(cert)
         with pytest.raises(CertificateError, match="singular Catalan window at order 1"):
             refute_by_hankel(3)
 

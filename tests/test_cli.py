@@ -453,3 +453,21 @@ class TestGfCommand:
         code, out, _ = run(capsys, "gf", "1,1", "--initial", "1,1", "--truncation", "0")
         assert code == 0
         assert "series: 0, 1, 1, ..." in out
+
+    @pytest.mark.parametrize(
+        "argv, note",
+        [
+            (("gf", "catalan", "--truncation", "0"), "note: --truncation 0 raised to 1"),
+            (
+                ("gf", "1,1", "--initial", "1,1", "--truncation", "1"),
+                "note: --truncation 1 raised to 2, the recurrence's order",
+            ),
+        ],
+    )
+    def test_raised_truncation_is_noted(self, capsys, argv, note):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.splitlines()[-1] == note
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and "note" not in out
+        code, out, _ = run(capsys, *argv[:-1], "2")
+        assert code == 0 and "note:" not in out

@@ -5,8 +5,7 @@ replaced by a drawn value and the digest recomputed.  The validator must
 then refuse the document with CertificateError, or accept a bundle with
 the same candidate and the same certificate kinds in the same order (a
 mutation can leave a valid document: a null parity residual is a producer
-choice, and an order-0 Hankel witness reads C_1 = C_2 = 1 at offset 1 or
-2).  Any other exception, or a validation that runs on, fails the test.
+choice).  Any other exception, or a validation that runs on, fails the test.
 """
 
 import contextlib

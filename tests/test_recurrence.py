@@ -63,6 +63,11 @@ class TestVerify:
         with pytest.raises(InsufficientDataError):
             verify(Sequence("short", (1,)), FIB_REC)
 
+    def test_empty_span_refused(self):
+        # 4 * C_n != C_{n+1}, so a span with no window must not pass it
+        with pytest.raises(InsufficientDataError, match=r"empty span: windows \[5, 3\]"):
+            verify(catalan_convolution(10), LinearRecurrence((4,)), (5, 3))
+
 
 class TestKernelNontrivial:
     def test_single_equation(self):
@@ -401,3 +406,8 @@ class TestLinearRecurrence:
     def test_iterate(self):
         assert iterate_recurrence(FIB_REC, (1, 1), 8) == [1, 1, 2, 3, 5, 8, 13, 21]
         assert iterate_recurrence(LinearRecurrence(()), (), 3) == [0, 0, 0]
+
+    def test_iterate_reads_initial_terms_once(self):
+        assert iterate_recurrence(FIB_REC, (x for x in (1, 1)), 6) == [1, 1, 2, 3, 5, 8]
+        with pytest.raises(ValueError, match="need 2 initial terms"):
+            iterate_recurrence(FIB_REC, (x for x in (1,)), 6)
