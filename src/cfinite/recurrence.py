@@ -198,7 +198,12 @@ def guess_recurrence(
     k whose recurrence verifies on all supplied terms wins, so the pass
     stops after column k.  Returns None when no order <= max_order fits.
     The result is only ever "verified on available data": finitely many
-    terms cannot prove a recurrence for all n.
+    terms cannot prove a recurrence for all n.  Rational data are screened
+    first.  The order-m Hankel matrix (b_{1+i+j}), m = max_order, is the
+    window matrix on rows 1..m+1, inside the pass's W >= m+1 rows.  If one
+    fraction-free pass (linalg.hankel_minors) finds H_m != 0 (Catalan: 1),
+    columns 0..m are independent there, hence on all W rows, so every column
+    is pivotal, the pass would return None, and None is returned at once.
     """
     if window_count is None:
         window_count = min(2 * max_order + 4, len(seq) - max_order)
@@ -211,6 +216,10 @@ def guess_recurrence(
             f"need {max_order + window_count} terms, have {len(seq)}"
         )
     terms = seq.terms
+    if seq.is_rational():
+        ints, _ = linalg.clear_denominators(terms[: 2 * max_order + 1])
+        if linalg.hankel_minors(ints)[-1] != 0:  # the minors end at the first zero
+            return None
     columns = (terms[j : j + window_count] for j in range(max_order + 1))
     pivots = []
     for k, (column, pivot_row) in enumerate(linalg.reduce_columns(columns, window_count)):

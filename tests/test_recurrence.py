@@ -193,7 +193,7 @@ def columns_read(monkeypatch):
 class TestGuessOnePass:
     def test_matches_per_order_elimination(self, columns_read):
         rng = random.Random(41)
-        found = corrupted = 0
+        found = corrupted = screened = 0
         for trial in range(300):
             k = rng.randint(0, 4)
             max_order = 0 if trial % 10 == 0 else rng.randint(1, 5)
@@ -207,11 +207,19 @@ class TestGuessOnePass:
                 terms[rng.randrange(length)] += Fraction(1, rng.randint(1, 3))
                 corrupted += 1
             seq = Sequence("random", terms)
+            passes = len(columns_read)
             guessed = guess_recurrence(seq, max_order)
             assert typed_coefficients(guessed) == typed_coefficients(reference_guess(seq, max_order))
-            assert columns_read[-1] == (max_order if guessed is None else guessed.order) + 1
+            if len(columns_read) > passes:
+                assert columns_read[-1] == (max_order if guessed is None else guessed.order) + 1
+            else:
+                # the Hankel screen answered: no column read, and the
+                # (m+1) x (m+1) window block on rows 1..m+1 is nonsingular
+                block = [seq.window(n, max_order + 1) for n in range(1, max_order + 2)]
+                assert guessed is None and linalg.determinant(block) != 0
+                screened += 1
             found += guessed is not None
-        assert len(columns_read) == 300
+        assert len(columns_read) + screened == 300 and screened > 0
         assert 100 <= found <= 300 - 50 and corrupted == 100
 
     def test_candidate_failing_verify_past_the_windows(self, columns_read):
@@ -235,6 +243,50 @@ class TestGuessOnePass:
         assert guessed.coefficients == (phi,) and guessed.field == "Q(sqrt(5))"
         assert typed_coefficients(guessed) == typed_coefficients(reference_guess(seq, 4))
         assert columns_read == [2]
+
+
+class TestGuessHankelScreen:
+    @pytest.mark.parametrize("max_order", [8, 24, 64])
+    def test_catalan_reads_no_column(self, columns_read, max_order):
+        seq = catalan_convolution(3 * max_order + 4)
+        assert guess_recurrence(seq, max_order) is None
+        assert columns_read == []
+        if max_order <= 8:
+            assert reference_guess(seq, max_order) is None
+
+    def test_zero_leading_minor_runs_the_column_pass(self, columns_read):
+        # b_1 = 0 makes the first leading minor 0, so the screen cannot
+        # decide, though the order-4 block is nonsingular and no recurrence
+        # of order <= 4 fits the random terms
+        rng = random.Random(5)
+        seq = Sequence("random", [0] + [rng.randint(-9, 9) for _ in range(15)])
+        assert linalg.determinant([seq.window(n, 5) for n in range(1, 6)]) != 0
+        guessed = guess_recurrence(seq, 4)
+        assert guessed is None and reference_guess(seq, 4) is None
+        assert columns_read == [5]
+
+    def test_fraction_terms(self, columns_read):
+        rng = random.Random(23)
+        found = screened = 0
+        for trial in range(40):
+            max_order = rng.randint(1, 4)
+            length = 3 * max_order + 4
+            if trial % 2:
+                terms = [Fraction(rng.randint(-9, 9), rng.randint(2, 9)) for _ in range(length)]
+            else:
+                k = rng.randint(1, max_order)
+                rec = LinearRecurrence(
+                    tuple(Fraction(rng.randint(-5, 5), rng.randint(2, 9)) for _ in range(k))
+                )
+                initial = [Fraction(rng.randint(-9, 9), rng.randint(2, 9)) for _ in range(k)]
+                terms = iterate_recurrence(rec, initial, length)
+            seq = Sequence("fractions", terms)
+            passes = len(columns_read)
+            guessed = guess_recurrence(seq, max_order)
+            assert typed_coefficients(guessed) == typed_coefficients(reference_guess(seq, max_order))
+            found += guessed is not None
+            screened += len(columns_read) == passes
+        assert found >= 15 and screened >= 15
 
 
 class TestHankelWitness:
