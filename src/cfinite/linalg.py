@@ -12,9 +12,10 @@ exact +, -, *, / and == 0 works.  `_bareiss` is fraction-free elimination
 of integer matrices; `determinant` and `leading_principal_minors` use it,
 so determinants are taken over Q only (rational rows are scaled to
 integers first); `hankel_minors` serves `cli._hankel_evidence` and the
-`guess_recurrence` screen.  Pivots are chosen leftmost-first in row
-order, so every routine is deterministic; no magnitude pivoting is needed
-because arithmetic is exact.
+`guess_recurrence` screen, and is the tests' oracle for the path check
+that proves certify's Catalan minors.  Pivots are chosen leftmost-first
+in row order, so every routine is deterministic; no magnitude pivoting is
+needed because arithmetic is exact.
 """
 
 import math

@@ -496,8 +496,32 @@ class TestHankelEngine:
             validate_certificate(HankelCertificate(HANKEL_ORDER_CAP + 1, ((0, 1, 1),)))
 
     def test_order_128_document_validates(self):
-        bundle = refute_all(TIMES_FOUR, hankel_bound=128)
-        assert validate_serialized(serialize_bundle(bundle)) == bundle
+        for bound in (128, 512):
+            bundle = refute_all(TIMES_FOUR, hankel_bound=bound)
+            assert validate_serialized(serialize_bundle(bundle)) == bundle
+
+    def test_path_check_matches_the_bareiss_oracle(self):
+        for bound in range(65):
+            table = certify_module._catalan_table(1, 2 * bound + 1)
+            assert certify_module._catalan_hankel_minors(bound) == linalg.hankel_minors(table)
+
+    @pytest.mark.parametrize("bound", [0, 1, 6, 24])
+    def test_corrupted_catalan_value_refused(self, monkeypatch, bound):
+        cert = refute_by_hankel(bound)
+        table = certify_module._catalan_table
+        for index in range(2 * bound + 1):
+
+            def corrupted(start, count, index=index):
+                values = table(start, count)
+                values[index] += 1
+                return values
+
+            monkeypatch.setattr(certify_module, "_catalan_table", corrupted)
+            message = f"^path moment B_\\({index}, 0\\) != C_{index + 1}$"
+            with pytest.raises(CertificateError, match=message):
+                validate_certificate(cert)
+            with pytest.raises(CertificateError, match=message):
+                refute_by_hankel(bound)
 
     def test_validator_messages(self):
         cert = refute_by_hankel(3)
@@ -521,6 +545,19 @@ class TestHankelEngine:
                 validate_certificate(cert)
         with pytest.raises(CertificateError, match="singular Catalan window at order 1"):
             refute_by_hankel(3)
+
+
+class TestCatalanTable:
+    def test_matches_the_closed_formula(self):
+        rng = random.Random(16)
+        starts = [rng.randrange(1, 700) for _ in range(30)]
+        # parity windows start at 2**m - l with l < 2**(m-1)
+        starts += [2**m - rng.randrange(2 ** (m - 1)) for m in range(1, 11) for _ in range(3)]
+        for start in starts:
+            count = rng.randrange(40)
+            expected = [catalan_closed(n) for n in range(start, start + count)]
+            assert certify_module._catalan_table(start, count) == expected
+        assert certify_module._catalan_table(5, 0) == []
 
 
 class TestGfEngine:
@@ -831,6 +868,24 @@ class TestSerialization:
         with pytest.raises(CertificateError, match=reason):
             validate_serialized(forged)
         assert time.perf_counter() - start < 1
+
+    def test_malformed_refusals_chain_a_cause_without_traceback(self):
+        # a traceback would keep the frames of the refused document alive
+        # for as long as the error is kept
+        zero_denominator = bundle_to_document(refute_all(TIMES_FOUR))
+        zero_denominator["candidate"]["coefficients"][0] = "4/0"
+        not_json = bundle_to_document(refute_all(TIMES_FOUR))
+        not_json["candidate"]["coefficients"][0] = Decimal("1")
+        for refuse, message in (
+            (lambda: certificate_from_fields({"kind": "parity"}), "malformed certificate fields"),
+            (lambda: certify_module.document_to_bundle(zero_denominator), "malformed document"),
+            (lambda: validate_serialized("{not json"), "not valid JSON"),
+            (lambda: validate_document(not_json), "not JSON data"),
+        ):
+            with pytest.raises(CertificateError, match=message) as info:
+                refuse()
+            assert info.value.__cause__ is not None
+            assert info.value.__cause__.__traceback__ is None
 
     def test_malformed_json_rejected(self):
         with pytest.raises(CertificateError):
