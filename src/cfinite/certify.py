@@ -307,11 +307,7 @@ def refute_by_hankel(order_bound: int) -> HankelCertificate:
     if order_bound < 0:
         raise ValueError(f"need order bound >= 0, got {order_bound}")
     _check_hankel_cap(order_bound)
-    minors = _catalan_hankel_minors(order_bound)
-    if minors[-1] == 0:
-        raise CertificateError(
-            f"unexpected singular Catalan window at order {len(minors) - 1}"
-        )
+    minors = _catalan_hankel_minors(order_bound)  # K + 1 ones, or it raises
     return HankelCertificate(order_bound, tuple((k, 1, det) for k, det in enumerate(minors)))
 
 

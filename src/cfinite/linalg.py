@@ -8,14 +8,17 @@ of the reduced form, so column c comes out final as soon as it is read and
 a caller may stop early; `guess_recurrence` reads every order off one pass
 this way.  `rref`, `kernel_basis` and `solve` are read off it.  Their
 entries may be int, Fraction, or QuadraticFieldElement; anything with
-exact +, -, *, / and == 0 works.  `_bareiss` is fraction-free elimination
-of integer matrices; `determinant` and `leading_principal_minors` use it,
-so determinants are taken over Q only (rational rows are scaled to
-integers first); `hankel_minors` serves `cli._hankel_evidence` and the
-`guess_recurrence` screen, and is the tests' oracle for the path check
-that proves certify's Catalan minors.  Pivots are chosen leftmost-first
-in row order, so every routine is deterministic; no magnitude pivoting is
-needed because arithmetic is exact.
+exact +, -, *, / and == 0 works.  While every entry read is rational, each
+replayed update col[i] - f * top is built as one Fraction, normalized once
+instead of twice (`_eliminate_rational`); the first other entry sends the
+rest of the pass through the generic loop.  `_bareiss` is fraction-free
+elimination of integer matrices; `determinant` and
+`leading_principal_minors` use it, so determinants are taken over Q only
+(rational rows are scaled to integers first); `hankel_minors` serves
+`cli._hankel_evidence` and the `guess_recurrence` screen, and is the
+tests' oracle for the path check that proves certify's Catalan minors.
+Pivots are chosen leftmost-first in row order, so every routine is
+deterministic; no magnitude pivoting is needed because arithmetic is exact.
 """
 
 import math
@@ -28,6 +31,19 @@ def _entry(x):
     return Fraction(x) if isinstance(x, int) else x
 
 
+def _eliminate_rational(col, multipliers, top):
+    """col[i] - f * top for Fraction entries, normalized once per entry:
+    a/b - (c/d)(e/g) is one Fraction (a·d·g - c·e·b) / (b·d·g), where
+    computing the product and then the difference normalizes twice."""
+    if top == 0:
+        return
+    tn, td = top.numerator, top.denominator
+    for i, f in multipliers:
+        a = col[i]
+        ad, fd = a.denominator, f.denominator
+        col[i] = Fraction(a.numerator * fd * td - f.numerator * tn * ad, ad * fd * td)
+
+
 def reduce_columns(columns, height: int):
     """Gauss-Jordan elimination fed one column at a time.
 
@@ -36,16 +52,27 @@ def reduce_columns(columns, height: int):
     that column of the reduced row echelon form of the columns read so far.
     Each pivot step (its row, the row swapped into it, the pivot and the
     nonzero multipliers) is replayed on every later column, so a column
-    costs one replay and the columns after it are never read.
+    costs one replay and the columns after it are never read.  While every
+    entry read so far is a Fraction (ints are read as Fractions), so is
+    every pivot and multiplier, and each update col[i] - f * top is built
+    as one Fraction; Fractions are canonical, so the values and types are
+    those of the generic loop.  From the first other entry on (Q(sqrt(d))
+    data, mixed matrices) the steps may carry field elements, and the pass
+    runs the generic loop to its end.
     """
     steps = []
+    rational = True
     for column in columns:
         col = [_entry(x) for x in column]
         if len(col) != height:
             raise DimensionError(f"column of length {len(col)}, expected {height}")
+        rational = rational and all(type(x) is Fraction for x in col)
         for row, swap, pivot, multipliers in steps:
             col[row], col[swap] = col[swap], col[row]
             top = col[row] = col[row] / pivot
+            if rational:
+                _eliminate_rational(col, multipliers, top)
+                continue
             for i, f in multipliers:
                 col[i] = col[i] - f * top
         r = len(steps)

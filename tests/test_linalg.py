@@ -78,13 +78,23 @@ def random_matrix(rng, kind, height, width, combine=False):
 KINDS = ("int", "fraction", "sqrt5", "mixed")
 
 
+def max_size(kind):
+    """Rational matrices reach 10 x 10, where reduce_columns replays its
+    one-step Fraction updates; field and mixed ones stay at 5 x 5."""
+    return 10 if kind in ("int", "fraction") else 5
+
+
 class TestRref:
     def test_matches_row_wise_elimination(self):
         rng = random.Random(31)
         deficient = 0
         for trial in range(160):
-            height, width = rng.randint(0, 5), rng.randint(0, 5)
-            rows = random_matrix(rng, KINDS[trial % 4], height, width, trial % 3 == 0)
+            kind = KINDS[trial % 4]
+            if trial < 4:
+                height = width = max_size(kind)
+            else:
+                height, width = rng.randint(0, max_size(kind)), rng.randint(0, max_size(kind))
+            rows = random_matrix(rng, kind, height, width, trial % 3 == 0)
             reduced, pivots = rref(rows, width)
             expected, expected_pivots = reference_rref(rows, width)
             assert pivots == expected_pivots
@@ -100,6 +110,27 @@ class TestRref:
         assert typed(reduced) == typed(reference_rref([[1, 0], [0, root_five]], 2)[0])
         assert isinstance(reduced[1][0], QuadraticFieldElement)
 
+    def test_fraction_columns_then_a_field_column(self):
+        # the one-step Fraction updates stop at the last column, whose
+        # Q(sqrt 5) entry ends the rational pass; rref's second copy of the
+        # Fraction columns then goes through the generic loop.  Row 2 is
+        # rows 0 + 1 on the Fraction columns, so the field column pivots,
+        # and row-wise elimination turns that row's Fractions into Q(sqrt 5)
+        rows = [
+            [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), QuadraticFieldElement(1, 1, 5)],
+            [Fraction(1, 3), Fraction(1, 4), Fraction(1, 7), Fraction(1)],
+            [Fraction(5, 6), Fraction(7, 12), Fraction(19, 35), Fraction(-1, 2)],
+        ]
+        reduced, pivots = rref(rows, 4)
+        expected, expected_pivots = reference_rref(rows, 4)
+        assert pivots == expected_pivots == [0, 1, 3]
+        assert typed(reduced) == typed(expected)
+        assert any(isinstance(x, QuadraticFieldElement) for row in reduced for x in row[:3])
+        columns = [[row[c] for row in rows] for c in range(4)]
+        for c, (column, _) in enumerate(reduce_columns(columns, 3)):
+            prefix, _ = reference_rref([row[: c + 1] for row in rows], c + 1)
+            assert typed([column]) == typed([[row[c] for row in prefix]])
+
     def test_empty_shapes_and_ragged_rows(self):
         assert rref([], 3) == ([], [])
         assert rref([[], []], 0) == ([[], []], [])
@@ -112,8 +143,12 @@ class TestReduceColumns:
         # the reduced form of a column prefix is the prefix of the reduced form
         rng = random.Random(37)
         for trial in range(40):
-            height, width = rng.randint(1, 5), rng.randint(1, 5)
-            rows = random_matrix(rng, KINDS[trial % 4], height, width, trial % 3 == 0)
+            kind = KINDS[trial % 4]
+            if trial < 4:
+                height = width = max_size(kind)
+            else:
+                height, width = rng.randint(1, max_size(kind)), rng.randint(1, max_size(kind))
+            rows = random_matrix(rng, kind, height, width, trial % 3 == 0)
             columns = [[row[c] for row in rows] for c in range(width)]
             for c, (column, pivot_row) in enumerate(reduce_columns(columns, height)):
                 expected, pivots = reference_rref([row[: c + 1] for row in rows], c + 1)

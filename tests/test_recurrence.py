@@ -222,6 +222,22 @@ class TestGuessOnePass:
         assert len(columns_read) + screened == 300 and screened > 0
         assert 100 <= found <= 300 - 50 and corrupted == 100
 
+    def test_integer_sequences_at_bench_orders(self, columns_read):
+        # integer sequences of order 6..12 with 3m + 4 terms and max order
+        # m = k + 4, the guess benchmark's shapes: the column pass replays
+        # one-step Fraction updates on entries that grow with every step
+        rng = random.Random(43)
+        for k in range(6, 13):
+            m = k + 4
+            last = rng.choice((-1, 1)) * rng.randint(1, 9)
+            rec = LinearRecurrence(tuple(rng.randint(-9, 9) for _ in range(k - 1)) + (last,))
+            initial = [rng.randint(-9, 9) for _ in range(k)]
+            seq = Sequence(f"order-{k}", iterate_recurrence(rec, initial, 3 * m + 4))
+            guessed = guess_recurrence(seq, m)
+            assert typed_coefficients(guessed) == typed_coefficients(reference_guess(seq, m))
+            assert guessed.coefficients == rec.coefficients
+            assert columns_read[-1] == k + 1
+
     def test_candidate_failing_verify_past_the_windows(self, columns_read):
         # windows 1..10 cover terms up to b_13; the order-2 candidate fits them
         # and fails at the corrupted last term, so the pass goes on to order 3
