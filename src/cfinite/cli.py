@@ -132,6 +132,8 @@ def _cmd_catalan(args) -> CommandResult:
     lines = [f"# Catalan numbers C_1..C_{count} (1-indexed: C_1 = C_2 = 1)"]
     payload = {"count": count, "method": args.method}
     if args.method == "all":
+        if args.ballot_cap < 2:  # ballot counting starts at n = 2
+            raise ValueError(f"--ballot-cap must be at least 2, got {args.ballot_cap}")
         closed = _catalan_values("closed", count, args.ballot_cap)
         convolution = _catalan_values("convolution", count, args.ballot_cap)
         holonomic = _catalan_values("holonomic", count, args.ballot_cap)
@@ -331,6 +333,8 @@ def _root_display(root) -> str:
 def _cmd_binet(args) -> CommandResult:
     from . import powersum, recurrence
 
+    if args.terms < 0:
+        raise ValueError(f"--terms must be at least 0, got {args.terms}")
     coefficients = parse_rational_list(args.coefficients)
     candidate = recurrence.LinearRecurrence(coefficients)
     initial = parse_rational_list(args.initial) if args.initial else ()

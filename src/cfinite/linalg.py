@@ -5,9 +5,10 @@ zero tests, fed one column at a time: each pivot step is recorded and
 replayed on every later column, and no entry right of the current column
 is touched.  The reduced row echelon form of a column prefix is the prefix
 of the reduced form, so column c comes out final as soon as it is read and
-a caller may stop early; `guess_recurrence` reads every order off one pass
-this way.  `rref`, `kernel_basis` and `solve` are read off it.  Their
-entries may be int, Fraction, or QuadraticFieldElement; anything with
+a caller may stop early.  `kernel_vectors` reads a kernel vector off each
+free column as it comes out; `guess_recurrence` (every order off one
+pass), `kernel_basis` and `solve` read their answers off it.  Entries may
+be int, Fraction, or QuadraticFieldElement of one radicand; anything with
 exact +, -, *, / and == 0 works.  While every entry read is rational, each
 replayed update col[i] - f * top is built as one Fraction, normalized once
 instead of twice (`_eliminate_rational`); the first other entry sends the
@@ -24,7 +25,8 @@ deterministic; no magnitude pivoting is needed because arithmetic is exact.
 import math
 from fractions import Fraction
 
-from .errors import DimensionError
+from .errors import DimensionError, MixedRadicandError
+from .seqcore import QuadraticFieldElement
 
 
 def _entry(x):
@@ -90,56 +92,54 @@ def reduce_columns(columns, height: int):
         yield col, r
 
 
-def rref(rows, width: int):
-    """Reduced row echelon form.  Returns (reduced rows, pivot columns)."""
-    mat = [[_entry(x) for x in row] for row in rows]
-    for row in mat:
+def kernel_vectors(columns, height: int):
+    """For each free column c of the column pass, in order, yields (c, v):
+    v has length c + 1, v[c] = 1, v[p] = -(c's entry in p's pivot row) for
+    each pivot column p < c, and Fraction(0) elsewhere, so the first c + 1
+    columns times v are zero.  Columns after the last one read stay unread."""
+    pivots = []
+    for c, (col, pivot_row) in enumerate(reduce_columns(columns, height)):
+        if pivot_row is not None:
+            pivots.append(c)
+            continue
+        v = [Fraction(0)] * c + [Fraction(1)]
+        for i, p in enumerate(pivots):
+            v[p] = -col[i]
+        yield c, v
+
+
+def _columns(rows, width: int):
+    """The columns of `rows`, refusing ragged rows and entries of two radicands."""
+    for row in rows:
         if len(row) != width:
             raise DimensionError(f"row of length {len(row)}, expected {width}")
-    columns = [[row[c] for row in mat] for c in range(width)]
-    if len({(type(x), getattr(x, "radicand", None)) for row in mat for x in row}) > 1:
-        # A later pivot step leaves the values of earlier columns alone, but
-        # row-wise elimination still computes them, and Fraction minus
-        # QuadraticFieldElement is a QuadraticFieldElement (or a radicand
-        # clash).  A second copy of each column goes through every step, so
-        # mixed matrices keep the types and errors of row-wise elimination.
-        columns += columns
-    passes = list(reduce_columns(columns, len(mat)))
-    pivots = [c for c, (_, row) in enumerate(passes[:width]) if row is not None]
-    reduced = [col for col, _ in passes[len(passes) - width :]]
-    return [[col[i] for col in reduced] for i in range(len(mat))], pivots
+    radicands = {x.radicand for row in rows for x in row if isinstance(x, QuadraticFieldElement)}
+    if len(radicands) > 1:
+        raise MixedRadicandError(f"entries mix radicands {sorted(radicands)}")
+    return [[row[c] for row in rows] for c in range(width)]
 
 
 def kernel_basis(rows, width: int):
     """Basis of the right kernel, one vector per free column, in column order."""
-    reduced, pivots = rref(rows, width)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -reduced[i][f]
-        basis.append(tuple(vec))
-    return basis
+    return [
+        tuple(v + [Fraction(0)] * (width - 1 - c))
+        for c, v in kernel_vectors(_columns(rows, width), len(rows))
+    ]
 
 
 def solve(rows, rhs):
     """One exact solution of rows * x = rhs (free variables set to 0).
 
-    Returns None when the system is inconsistent.
+    Returns None when the system is inconsistent: the rhs column pivots.
     """
     if len(rows) != len(rhs):
         raise DimensionError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
     width = len(rows[0]) if rows else 0
     augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(augmented, width + 1)
-    if width in pivots:
-        return None
-    x = [Fraction(0)] * width
-    for i, p in enumerate(pivots):
-        x[p] = reduced[i][width]
-    return tuple(x)
+    for c, v in kernel_vectors(_columns(augmented, width + 1), len(rows)):
+        if c == width:
+            return tuple(-x for x in v[:width])
+    return None
 
 
 def _bareiss(mat, exchange: bool):

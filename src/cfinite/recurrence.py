@@ -193,8 +193,8 @@ def guess_recurrence(
     The width-(k+1) window matrix over rows n = 1..W is the first k+1
     columns of the width-(max_order+1) one, and column j is the terms
     b_{1+j}..b_{W+j}.  One Gauss-Jordan pass reads these columns in order
-    (`linalg.reduce_columns`): a free column k gives the order-k kernel
-    vector with nonzero last coordinate, read off the pivots, and the first
+    (`linalg.kernel_vectors`): a free column k gives the order-k kernel
+    vector v with v[k] = 1, so -v[:k] are the coefficients, and the first
     k whose recurrence verifies on all supplied terms wins, so the pass
     stops after column k.  Returns None when no order <= max_order fits.
     The result is only ever "verified on available data": finitely many
@@ -221,15 +221,8 @@ def guess_recurrence(
         if linalg.hankel_minors(ints)[-1] != 0:  # the minors end at the first zero
             return None
     columns = (terms[j : j + window_count] for j in range(max_order + 1))
-    pivots = []
-    for k, (column, pivot_row) in enumerate(linalg.reduce_columns(columns, window_count)):
-        if pivot_row is not None:
-            pivots.append(k)
-            continue  # column k pivotal: every kernel vector ends in 0
-        coeffs = [Fraction(0)] * k
-        for i, p in enumerate(pivots):
-            coeffs[p] = column[i]
-        candidate = LinearRecurrence(tuple(coeffs))
+    for k, v in linalg.kernel_vectors(columns, window_count):
+        candidate = LinearRecurrence(tuple(-x for x in v[:k]))
         if verify(seq, candidate).passed:
             return candidate
     return None

@@ -114,6 +114,16 @@ class TestCatalanCommand:
         doc = json.loads(out)
         assert doc["status"] == "error" and "above 17" in doc["payload"]["message"]
 
+    @pytest.mark.parametrize("cap", ["-3", "0", "1"])
+    def test_ballot_cap_below_two_refused(self, capsys, cap):
+        # with every method, a cap below 2 would drop the ballot generator unseen
+        code, out, err = run(capsys, "catalan", "-n", "5", "--ballot-cap", cap)
+        assert (code, out) == (2, "")
+        assert "--ballot-cap must be at least 2" in err and err.strip().endswith(f"got {cap}")
+        code, out, _ = run(capsys, "catalan", "-n", "5", "--ballot-cap", cap, "--json")
+        assert code == 2
+        assert json.loads(out)["status"] == "error"
+
     def test_json_is_deterministic(self, capsys):
         _, out1, _ = run(capsys, "catalan", "-n", "6", "--json")
         _, out2, _ = run(capsys, "catalan", "-n", "6", "--json")
@@ -410,6 +420,16 @@ class TestBinetCommand:
         code, _, err = run(capsys, "binet", "0,0,1", "--initial", "1,1,1", "--on-zero-root", "error")
         assert code == 2
         assert "root 0" in err
+
+    def test_negative_terms_refused(self, capsys):
+        # it was silently raised to the order
+        argv = ("binet", "1,1", "--initial", "1,1", "--terms", "-1")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "--terms must be at least 0, got -1" in err
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 2
+        assert json.loads(out)["status"] == "error"
 
 
 class TestGfCommand:

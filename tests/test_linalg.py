@@ -6,14 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from cfinite.errors import DimensionError
+from cfinite.errors import CFiniteError, DimensionError, MixedRadicandError
 from cfinite.linalg import (
     clear_denominators,
     determinant,
     hankel_minors,
+    kernel_basis,
+    kernel_vectors,
     leading_principal_minors,
     reduce_columns,
-    rref,
+    solve,
 )
 from cfinite.seqcore import QuadraticFieldElement
 
@@ -29,8 +31,8 @@ def cofactor_determinant(matrix):
 
 
 def reference_rref(rows, width):
-    """Row-by-row Gauss-Jordan elimination, the loop rref ran before it was
-    fed by columns: the reference for entries and their types."""
+    """Row-by-row Gauss-Jordan elimination of the whole matrix: the
+    reference for entries and their types."""
     mat = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
     pivots = []
     r = 0
@@ -84,10 +86,45 @@ def max_size(kind):
     return 10 if kind in ("int", "fraction") else 5
 
 
-class TestRref:
+def reference_kernel_basis(rows, width):
+    """One kernel vector per free column of reference_rref."""
+    reduced, pivots = reference_rref(rows, width)
+    basis = []
+    for f in (c for c in range(width) if c not in pivots):
+        vec = [Fraction(0)] * width
+        vec[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -reduced[i][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def reference_solve(rows, rhs):
+    """The last column of reference_rref of [rows | rhs], or None when it pivots."""
+    width = len(rows[0]) if rows else 0
+    reduced, pivots = reference_rref([list(row) + [b] for row, b in zip(rows, rhs)], width + 1)
+    if width in pivots:
+        return None
+    x = [Fraction(0)] * width
+    for i, p in enumerate(pivots):
+        x[p] = reduced[i][width]
+    return tuple(x)
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except (ArithmeticError, CFiniteError) as exc:
+        return type(exc)
+
+
+class TestKernelReadOff:
     def test_matches_row_wise_elimination(self):
+        # rational answers match in value and type; Q(sqrt 5) and mixed ones
+        # in value, since row-wise elimination can turn a Fraction entry into
+        # a field element that the column pass leaves alone
         rng = random.Random(31)
-        deficient = 0
+        deficient = inconsistent = 0
         for trial in range(160):
             kind = KINDS[trial % 4]
             if trial < 4:
@@ -95,47 +132,47 @@ class TestRref:
             else:
                 height, width = rng.randint(0, max_size(kind)), rng.randint(0, max_size(kind))
             rows = random_matrix(rng, kind, height, width, trial % 3 == 0)
-            reduced, pivots = rref(rows, width)
-            expected, expected_pivots = reference_rref(rows, width)
-            assert pivots == expected_pivots
-            assert typed(reduced) == typed(expected)
-            deficient += len(pivots) < min(height, width)
-        assert deficient >= 12
+            rhs = [row[0] for row in random_matrix(rng, kind, height, 1)]
+            basis, expected_basis = (outcome(f, rows, width) for f in (kernel_basis, reference_kernel_basis))
+            x, expected_x = (outcome(f, rows, rhs) for f in (solve, reference_solve))
+            if kind in ("int", "fraction"):
+                assert typed(basis + [x or ()]) == typed(expected_basis + [expected_x or ()])
+            assert basis == expected_basis and x == expected_x
+            deficient += len(basis) > max(width - height, 0)
+            inconsistent += x is None
+        assert deficient >= 12 and 40 <= inconsistent <= 120
 
-    def test_mixed_entries_keep_row_wise_types(self):
-        # dividing the pivot row by sqrt 5 turns its Fraction 0 into a field element
-        root_five = QuadraticFieldElement(0, 1, 5)
-        reduced, pivots = rref([[1, 0], [0, root_five]], 2)
-        assert pivots == [0, 1]
-        assert typed(reduced) == typed(reference_rref([[1, 0], [0, root_five]], 2)[0])
-        assert isinstance(reduced[1][0], QuadraticFieldElement)
+    def test_two_radicands_refused(self):
+        root_two, root_five = QuadraticFieldElement(0, 1, 2), QuadraticFieldElement(0, 1, 5)
+        for rows, rhs in (([[1, 0], [0, 1]], [root_two, root_five]), ([[root_two]], [root_five])):
+            with pytest.raises(MixedRadicandError):
+                solve(rows, rhs)
+        with pytest.raises(MixedRadicandError):
+            kernel_basis([[1, root_two, 0], [0, 0, root_five]], 3)
 
-    def test_fraction_columns_then_a_field_column(self):
-        # the one-step Fraction updates stop at the last column, whose
-        # Q(sqrt 5) entry ends the rational pass; rref's second copy of the
-        # Fraction columns then goes through the generic loop.  Row 2 is
-        # rows 0 + 1 on the Fraction columns, so the field column pivots,
-        # and row-wise elimination turns that row's Fractions into Q(sqrt 5)
-        rows = [
-            [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), QuadraticFieldElement(1, 1, 5)],
-            [Fraction(1, 3), Fraction(1, 4), Fraction(1, 7), Fraction(1)],
-            [Fraction(5, 6), Fraction(7, 12), Fraction(19, 35), Fraction(-1, 2)],
-        ]
-        reduced, pivots = rref(rows, 4)
-        expected, expected_pivots = reference_rref(rows, 4)
-        assert pivots == expected_pivots == [0, 1, 3]
-        assert typed(reduced) == typed(expected)
-        assert any(isinstance(x, QuadraticFieldElement) for row in reduced for x in row[:3])
-        columns = [[row[c] for row in rows] for c in range(4)]
-        for c, (column, _) in enumerate(reduce_columns(columns, 3)):
-            prefix, _ = reference_rref([row[: c + 1] for row in rows], c + 1)
-            assert typed([column]) == typed([[row[c] for row in prefix]])
+    def test_reads_no_column_past_the_caller(self):
+        def columns():
+            yield [1, 2]
+            yield [2, 4]
+            raise AssertionError("column 2 was read")
+
+        vectors = kernel_vectors(columns(), 2)
+        assert next(vectors) == (1, [Fraction(-2), Fraction(1)])
+        with pytest.raises(AssertionError, match="column 2"):
+            next(vectors)
 
     def test_empty_shapes_and_ragged_rows(self):
-        assert rref([], 3) == ([], [])
-        assert rref([[], []], 0) == ([[], []], [])
+        assert kernel_basis([], 2) == [(1, 0), (0, 1)]
+        assert kernel_basis([[], []], 0) == []
+        assert solve([], []) == ()
+        assert solve([[], []], [0, 0]) == ()
+        assert solve([[], []], [0, 1]) is None
         with pytest.raises(DimensionError):
-            rref([[1, 2], [3]], 2)
+            kernel_basis([[1, 2], [3]], 2)
+        with pytest.raises(DimensionError):
+            solve([[1, 2], [3]], [1, 1])
+        with pytest.raises(DimensionError):
+            solve([[1, 2]], [1, 1])
 
 
 class TestReduceColumns:
@@ -154,6 +191,23 @@ class TestReduceColumns:
                 expected, pivots = reference_rref([row[: c + 1] for row in rows], c + 1)
                 assert typed([column]) == typed([[row[c] for row in expected]])
                 assert pivot_row == (len(pivots) - 1 if c in pivots else None)
+
+    def test_fraction_columns_then_a_field_column(self):
+        # the one-step Fraction updates stop at the last column, whose
+        # Q(sqrt 5) entry ends the rational pass.  Row 2 is rows 0 + 1 on
+        # the Fraction columns, so the field column pivots
+        rows = [
+            [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), QuadraticFieldElement(1, 1, 5)],
+            [Fraction(1, 3), Fraction(1, 4), Fraction(1, 7), Fraction(1)],
+            [Fraction(5, 6), Fraction(7, 12), Fraction(19, 35), Fraction(-1, 2)],
+        ]
+        columns = [[row[c] for row in rows] for c in range(4)]
+        pivot_rows = []
+        for c, (column, pivot_row) in enumerate(reduce_columns(columns, 3)):
+            prefix, _ = reference_rref([row[: c + 1] for row in rows], c + 1)
+            assert typed([column]) == typed([[row[c] for row in prefix]])
+            pivot_rows.append(pivot_row)
+        assert pivot_rows == [0, 1, None, 2]
 
     def test_wrong_column_length(self):
         with pytest.raises(DimensionError):
