@@ -502,8 +502,8 @@ def pade_reconstruct(seq: Sequence, num_degree: int, den_degree: int):
         [c[m - i] if m - i >= 0 else Fraction(0) for i in range(den_degree + 1)]
         for m in range(num_degree + 1, terms + 1)
     ]
-    basis = linalg.kernel_basis(rows, den_degree + 1)
-    q_vec = next((v for v in basis if v[0] != 0), None)
+    kernel = linalg.iter_kernel_basis(rows, den_degree + 1)
+    q_vec = next((v for v in kernel if v[0] != 0), None)
     if q_vec is None:
         return None
     q = Polynomial(q_vec)

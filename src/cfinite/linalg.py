@@ -7,13 +7,16 @@ is touched.  The reduced row echelon form of a column prefix is the prefix
 of the reduced form, so column c comes out final as soon as it is read and
 a caller may stop early.  `kernel_vectors` reads a kernel vector off each
 free column as it comes out; `guess_recurrence` (every order off one
-pass), `kernel_basis` and `solve` read their answers off it.  Entries may
-be int, Fraction, or QuadraticFieldElement of one radicand; anything with
-exact +, -, *, / and == 0 works.  While every entry read is rational, each
-replayed update col[i] - f * top is built as one Fraction, normalized once
-instead of twice (`_eliminate_rational`); the first other entry sends the
-rest of the pass through the generic loop.  `_bareiss` is fraction-free
-elimination of integer matrices; `determinant` and
+pass), `kernel_basis`, `solve` and `iter_kernel_basis` read their answers
+off it, the last lazily for callers that want one vector
+(`kernel_nontrivial`, `pade_reconstruct`).  Entries may be int, Fraction,
+or QuadraticFieldElement of one radicand; anything with exact +, -, *, /
+and == 0 works.  While every entry read is rational, each replayed update
+col[i] - f * top is built as one Fraction, normalized once instead of
+twice (`_eliminate_rational`), and a new pivot's column is cleared by
+writing Fraction(0), not by computing f - f * 1; the first other entry
+sends the rest of the pass through the generic loop.  `_bareiss` is
+fraction-free elimination of integer matrices; `determinant` and
 `leading_principal_minors` use it, so determinants are taken over Q only
 (rational rows are scaled to integers first); `hankel_minors` serves
 `cli._hankel_evidence` and the `guess_recurrence` screen, and is the
@@ -56,9 +59,10 @@ def reduce_columns(columns, height: int):
     nonzero multipliers) is replayed on every later column, so a column
     costs one replay and the columns after it are never read.  While every
     entry read so far is a Fraction (ints are read as Fractions), so is
-    every pivot and multiplier, and each update col[i] - f * top is built
-    as one Fraction; Fractions are canonical, so the values and types are
-    those of the generic loop.  From the first other entry on (Q(sqrt(d))
+    every pivot and multiplier, each update col[i] - f * top is built as
+    one Fraction, and the new pivot's column gets Fraction(0) off its pivot
+    row; Fractions are canonical, so the values and types are those of the
+    generic loop.  From the first other entry on (Q(sqrt(d))
     data, mixed matrices) the steps may carry field elements, and the pass
     runs the generic loop to its end.
     """
@@ -87,7 +91,7 @@ def reduce_columns(columns, height: int):
         top = col[r] = pivot / pivot
         multipliers = [(i, col[i]) for i in range(height) if i != r and col[i] != 0]
         for i, f in multipliers:
-            col[i] = col[i] - f * top
+            col[i] = Fraction(0) if rational else col[i] - f * top
         steps.append((r, pivot_row, pivot, multipliers))
         yield col, r
 
@@ -119,12 +123,16 @@ def _columns(rows, width: int):
     return [[row[c] for row in rows] for c in range(width)]
 
 
+def iter_kernel_basis(rows, width: int):
+    """The vectors of `kernel_basis`, one at a time: the columns after the
+    free column of the last vector drawn stay unread."""
+    for c, v in kernel_vectors(_columns(rows, width), len(rows)):
+        yield tuple(v + [Fraction(0)] * (width - 1 - c))
+
+
 def kernel_basis(rows, width: int):
     """Basis of the right kernel, one vector per free column, in column order."""
-    return [
-        tuple(v + [Fraction(0)] * (width - 1 - c))
-        for c, v in kernel_vectors(_columns(rows, width), len(rows))
-    ]
+    return list(iter_kernel_basis(rows, width))
 
 
 def solve(rows, rhs):

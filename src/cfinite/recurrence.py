@@ -7,6 +7,7 @@ Q or in a single quadratic extension Q(sqrt(d)).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,7 +140,12 @@ def verify(seq: Sequence, rec: LinearRecurrence, span=None) -> VerificationResul
 
     span=None means every window the data supports.  On failure the least
     failing n is reported with the exact residual
-    sum_j a_j b_{n+j} - b_{n+k}.
+    sum_j a_j b_{n+j} - b_{n+k}: a Fraction (or a field element) for
+    k >= 1, and -b_n itself for order 0.  Rational coefficients are scaled
+    once to integers c_j = L a_j (`linalg.clear_denominators`), so each
+    window compares sum_j c_j b_{n+j} with L b_{n+k}, in integers on int
+    data; only the first failing window's difference is divided by L.
+    Q(sqrt(d)) coefficients take the same loop with L = 1.
     """
     k = rec.order
     if span is None:
@@ -155,13 +161,17 @@ def verify(seq: Sequence, rec: LinearRecurrence, span=None) -> VerificationResul
         raise InsufficientDataError(
             f"windows [{lo}, {hi}] need terms up to {hi + k}, have {len(seq)}"
         )
+    coefficients, scale = rec.coefficients, 1
+    if rec.is_rational():
+        coefficients, scale = linalg.clear_denominators(coefficients)
+    terms = seq.terms
     for n in range(lo, hi + 1):
-        acc = 0
-        for j, a in enumerate(rec.coefficients):
-            acc = acc + a * seq.term(n + j)
-        residual = acc - seq.term(n + k)
-        if residual != 0:
-            return VerificationResult(False, n, residual)
+        window = terms[n - 1 : n + k]
+        acc = sum(map(operator.mul, coefficients, window))
+        last = scale * window[k]
+        if acc != last:
+            residual = acc - last
+            return VerificationResult(False, n, residual / Fraction(scale) if k else residual)
     return VerificationResult(True)
 
 
@@ -179,10 +189,10 @@ def kernel_nontrivial(rows, width: int | None = None):
         width = len(rows[0])
     if len(rows) >= width:
         raise DimensionError(f"{len(rows)} rows x {width} columns: need m < n")
-    basis = linalg.kernel_basis(rows, width)
-    if not basis:
+    vector = next(linalg.iter_kernel_basis(rows, width), None)
+    if vector is None:
         raise ArithmeticError("m < n guarantees a nonzero kernel vector")
-    return basis[0]
+    return vector
 
 
 def guess_recurrence(

@@ -20,6 +20,8 @@ from cfinite.powersum import Polynomial
 from cfinite.recurrence import guess_recurrence, iterate_recurrence, LinearRecurrence
 from cfinite.seqcore import catalan_convolution, fibonacci, Sequence
 
+from test_recurrence import columns_read  # noqa: F401 (a fixture)
+
 FIB_REC = LinearRecurrence((1, 1))
 
 
@@ -205,6 +207,11 @@ class TestPadeReconstruct:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             pade_reconstruct(fibonacci(5), 2, 2)
+
+    def test_reads_columns_up_to_the_denominator(self, columns_read):
+        # q = 1 - x - x**2 is the free column 2 of den_degree + 1 = 6 columns
+        assert pade_reconstruct(fibonacci(20), 1, 5) == rational_gf(FIB_REC, (1, 1))
+        assert columns_read == [3]
 
     def test_agreement_with_guesser(self):
         rng = random.Random(41)

@@ -82,6 +82,19 @@ GOLDEN_STDOUT = {
     "cli_catalan13.json": ("catalan", "-n", "13", "--json"),
     "cli_gf_catalan200.json": ("gf", "catalan", "--truncation", "200", "--json"),
     "cli_help.txt": ("--help",),
+    # guess: found at order 9 on integers, found at order 1 on fractions,
+    # Catalan not found, and an order-1 Hankel witness past offset 1
+    "cli_guess_order9.json": (
+        "guess", "--max-order", "10", "--json", "--terms",
+        "1,2,3,1,0,-1,2,5,1,5,0,4,4,19,18,40,43,69,85,145,197,322,461,702,1008,1513",
+    ),
+    "cli_guess_halves.json": ("guess", "--json", "--terms", "1,1/2,1/4,1/8,1/16,1/32,1/64"),
+    "cli_guess_catalan20.json": (
+        "guess", "--max-order", "8", "--json", "--terms",
+        "1,1,2,5,14,42,132,429,1430,4862,16796,58786,208012,742900,2674440,"
+        "9694845,35357670,129644790,477638700,1767263190",
+    ),
+    "cli_guess_offset4.json": ("guess", "--max-order", "5", "--json", "--terms", "1,2,4,8,16,33"),
     **{
         f"cli_help_{command}.txt": (command, "--help")
         for command in ("catalan", "guess", "refute", "binet", "gf", "validate")

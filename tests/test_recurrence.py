@@ -18,6 +18,7 @@ from cfinite.recurrence import (
     LinearRecurrence,
     normalize_coprime,
     verify,
+    VerificationResult,
     WindowMatrix,
 )
 from cfinite.seqcore import (
@@ -69,7 +70,106 @@ class TestVerify:
             verify(catalan_convolution(10), LinearRecurrence((4,)), (5, 3))
 
 
+def reference_verify(seq, rec, span=None):
+    """The per-window loop verify ran before it summed windows in integers:
+    each term times its coefficient, accumulated from 0, minus b_{n+k}."""
+    k = rec.order
+    lo, hi = (1, len(seq) - k) if span is None else span
+    for n in range(lo, hi + 1):
+        acc = 0
+        for j, a in enumerate(rec.coefficients):
+            acc = acc + a * seq.term(n + j)
+        residual = acc - seq.term(n + k)
+        if residual != 0:
+            return VerificationResult(False, n, residual)
+    return VerificationResult(True)
+
+
+def typed(x):
+    return type(x), x
+
+
+def times_linear_factor(coefficients, theta):
+    """Coefficients of the order-(k+1) recurrence with characteristic
+    polynomial (x - theta) P(x), P that of `coefficients`: every sequence
+    the order-k recurrence fits, this one fits too."""
+    p = [-a for a in coefficients] + [1]
+    q = [(p[j - 1] if j else 0) - theta * p[j] for j in range(len(p))]
+    return tuple(-x for x in q)
+
+
+class TestVerifyMatchesWindowLoop:
+    def test_seeded_cases(self):
+        rng = random.Random(19)
+        seen = set()
+        for trial in range(600):
+            k = 0 if trial % 8 == 0 else rng.randint(1, 6)
+            terms_kind = ("int", "fraction", "mixed")[trial % 3]
+            if terms_kind == "int":
+                coeffs = tuple(rng.randint(-3, 3) for _ in range(k))
+                initial = [rng.randint(-5, 5) for _ in range(k)]
+            else:
+                coeffs = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(k))
+                initial = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k)]
+            length = k + rng.randint(1, 14)
+            if k:
+                terms = iterate_recurrence(LinearRecurrence(coeffs), initial, length)
+            else:
+                terms = [Fraction(0)] * length
+            if terms_kind == "int":
+                terms = [int(t) for t in terms]
+            elif terms_kind == "mixed":
+                terms = [int(t) if t.denominator == 1 and rng.random() < 0.5 else t for t in terms]
+            if trial % 5 == 1:
+                radicand = rng.choice((2, 5))
+                theta = QuadraticFieldElement(rng.randint(-3, 3), rng.choice((-1, 1)), radicand)
+                coeffs = times_linear_factor(coeffs, theta)
+            if rng.random() < 0.5:
+                i = rng.randrange(length)
+                terms[i] = terms[i] + rng.choice((1, Fraction(1, rng.randint(2, 5))))
+            if rng.random() < 0.2:
+                terms = [rng.randint(-9, 9) for _ in range(length)]
+            rec = LinearRecurrence(coeffs)
+            if len(terms) < rec.order + 1:
+                continue
+            seq = Sequence("case", terms)
+            span = None
+            if rng.random() < 0.4:
+                lo = rng.randint(1, len(seq) - rec.order)
+                span = (lo, rng.randint(lo, len(seq) - rec.order))
+            result, expected = verify(seq, rec, span), reference_verify(seq, rec, span)
+            assert (result.passed, result.failed_index) == (expected.passed, expected.failed_index)
+            if not expected.passed:
+                assert typed(result.residual) == typed(expected.residual)
+                seen.add((rec.order == 0, rec.is_rational(), type(expected.residual)))
+            else:
+                assert result.residual is None
+                seen.add((rec.order == 0, rec.is_rational(), "passed"))
+        assert seen >= {
+            (True, True, int), (True, True, Fraction), (True, True, "passed"),
+            (False, True, Fraction), (False, True, "passed"),
+            (False, False, QuadraticFieldElement), (False, False, "passed"),
+        }
+
+    def test_field_element_terms(self):
+        phi = QuadraticFieldElement(Fraction(1, 2), Fraction(1, 2), 5)
+        powers = [phi]
+        while len(powers) < 10:
+            powers.append(powers[-1] * phi)
+        powers[6] = powers[6] + 1
+        seq = Sequence("phi", powers)
+        for rec in (LinearRecurrence(()), LinearRecurrence((1, 1)), LinearRecurrence((phi,))):
+            for span in (None, (1, 3)):
+                result, expected = verify(seq, rec, span), reference_verify(seq, rec, span)
+                assert (result.passed, result.failed_index) == (expected.passed, expected.failed_index)
+                assert typed(result.residual) == typed(expected.residual)
+
+
 class TestKernelNontrivial:
+    def test_reads_columns_up_to_the_first_free_one(self, columns_read):
+        assert kernel_nontrivial([(1,) * 8]) == (-1, 1, 0, 0, 0, 0, 0, 0)
+        assert columns_read == [2]
+
     def test_single_equation(self):
         vec = kernel_nontrivial([(1, 1)])
         assert vec != (0, 0)
@@ -172,7 +272,7 @@ def typed_coefficients(rec):
 
 @pytest.fixture
 def columns_read(monkeypatch):
-    """Counts the columns each guess_recurrence call feeds reduce_columns."""
+    """Counts the columns each reduce_columns pass reads."""
     counts = []
     feed = linalg.reduce_columns
 
