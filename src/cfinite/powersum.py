@@ -3,7 +3,9 @@
 A power sum writes b_n = sum_j p_j(n) * alpha_j**n over distinct nonzero
 roots alpha_j with nonzero polynomials p_j.  Roots are kept exact
 (Fraction) whenever the rational-root stage finds them, and polished
-complex floats otherwise; the empty power sum evaluates to 0.
+complex floats otherwise; the empty power sum evaluates to 0.  Root
+multiplicities, and so the degrees of the p_j, come from an exact
+squarefree decomposition, never from how close two floats lie.
 
 Also here: the dominant part (s, alpha, unit-circle terms) of a power sum,
 the Vandermonde distance product, and the window lower bound
@@ -31,6 +33,11 @@ from .recurrence import LinearRecurrence
 from .seqcore import catalan_closed
 
 
+ROOT_TOLERANCE = 1e-12  # numeric root residual bound, relative to the coefficient scale
+TIE_TOLERANCE = 1e-9  # relative modulus gap below which two roots tie for dominance
+BETA_GAP_TOLERANCE = 1e-9  # unit-circle roots closer than this count as coincident
+
+
 def characteristic_polynomial(rec: LinearRecurrence) -> Polynomial:
     """x**k - sum_{j<k} a_j x**j; monic of degree k (constant 1 for k = 0)."""
     coeffs = [-c for c in rec.coefficients] + [Fraction(1)]
@@ -50,101 +57,90 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
-def _newton_polish(poly: Polynomial, deriv: Polynomial, z: complex, mult: int, tol: float):
+def _newton_polish(poly: Polynomial, deriv: Polynomial, z: complex):
     for _ in range(80):
         dz = deriv(z)
         if dz == 0:
             return z
-        step = mult * poly(z) / dz
+        step = poly(z) / dz
         z = z - step
-        if abs(step) <= tol * max(1.0, abs(z)):
+        if abs(step) <= ROOT_TOLERANCE * max(1.0, abs(z)):
             return z
     return z
 
 
-def polynomial_roots(p: Polynomial, tolerance: float = 1e-12, merge_tol: float = 1e-6):
-    """All roots with multiplicities: exact rationals first, then numeric.
+def _squarefree_factors(p: Polynomial):
+    """Yun's squarefree decomposition of an exact polynomial (SYMSAC 1976).
 
-    Rational roots are found by the rational-root test and removed by exact
-    deflation; the rest come from the companion matrix, get clustered when
-    closer than merge_tol (relative to the root scale; companion-matrix
-    error for a double root is already around sqrt(machine epsilon), so the
-    threshold must sit well above that), and each cluster is polished as
-    one multiple root by multiplicity-aware Newton steps.  Raises
+    Pairs (f, m) with p = c * prod f**m: each f monic, nonconstant and
+    squarefree, the f pairwise coprime, the m increasing.
+    """
+    factors = []
+    dp = p.derivative()
+    g = poly_gcd(p, dp)
+    b = p // g
+    d = dp // g - b.derivative()
+    m = 1
+    while b.degree >= 1:
+        a = poly_gcd(b, d)
+        if a.degree >= 1:
+            factors.append((a, m))
+        b = b // a
+        d = d // a - b.derivative()
+        m += 1
+    return factors
+
+
+def polynomial_roots(p: Polynomial):
+    """All roots of an exact polynomial, with their multiplicities.
+
+    The root 0 is split off as x**v; Yun's squarefree decomposition of the
+    rest (over the exact poly_gcd) then fixes every multiplicity: each root
+    of the factor f in p = c * prod f**m has multiplicity exactly m.  The
+    rational-root test finds a factor's rational roots, which exact
+    division removes; the roots left come from the companion matrix and
+    are all simple, so plain Newton steps polish them.  Exact roots come
+    first, sorted; then the complex floats, sorted by (real, imag).
+    Raises ValueError for the zero polynomial or inexact coefficients, and
     RootFindingError when a numeric root's residual stays above
-    tolerance * coefficient scale.
+    ROOT_TOLERANCE * coefficient scale.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every number as a root")
-    roots = []
-    work = p
-    if work.is_exact():
-        work = Polynomial(tuple(Fraction(c) for c in work.coeffs))
-        # factor out x**v exactly
-        v = 0
-        while work.coefficient(0) == 0 and work.degree > 0:
-            work = Polynomial(work.coeffs[1:])
-            v += 1
-        if v:
-            roots.append((Fraction(0), v))
-        if work.degree >= 1:
-            ints, _ = linalg.clear_denominators(work.coeffs)
-            candidates = []
-            if abs(ints[0]) <= 10**12 and abs(ints[-1]) <= 10**12:
-                for num in _divisors(ints[0]):
-                    for den in _divisors(ints[-1]):
-                        candidates.extend((Fraction(num, den), Fraction(-num, den)))
-            for cand in sorted(set(candidates)):
-                mult = 0
-                while work.degree >= 1 and work(cand) == 0:
-                    work, rem = divmod(work, Polynomial((-cand, 1)))
-                    if not rem.is_zero:
-                        raise ArithmeticError(f"exact root {cand} left a remainder")
-                    mult += 1
-                if mult:
-                    roots.append((cand, mult))
-        roots.sort(key=lambda rm: rm[0])
-    if work.degree >= 1:
+    if not p.is_exact():
+        raise ValueError("root finding needs exact coefficients")
+    v = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    exact = [(Fraction(0), v)] if v else []
+    numeric = []
+    for f, m in _squarefree_factors(Polynomial(p.coeffs[v:])):
+        ints, _ = linalg.clear_denominators(f.coeffs)
+        if abs(ints[0]) <= 10**12 and abs(ints[-1]) <= 10**12:
+            pairs = [(num, den) for num in _divisors(ints[0]) for den in _divisors(ints[-1])]
+            for cand in sorted({Fraction(s * num, den) for num, den in pairs for s in (1, -1)}):
+                if f(cand) == 0:
+                    f = f // Polynomial((-cand, 1))  # exact: the remainder is f(cand) = 0
+                    exact.append((cand, m))
+        if f.degree < 1:
+            continue
         import numpy as np  # imported on first use: only this numeric tier needs numpy
 
-        coeffs = [complex(c) for c in work.coeffs]
-        raw = np.roots(coeffs[::-1])
-        # cluster roots closer than merge_tol (union-find on pairs)
-        parent = list(range(len(raw)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(len(raw)):
-            for j in range(i + 1, len(raw)):
-                scale = max(1.0, abs(raw[i]), abs(raw[j]))
-                if abs(raw[i] - raw[j]) < merge_tol * scale:
-                    parent[find(i)] = find(j)
-        clusters = {}
-        for i in range(len(raw)):
-            clusters.setdefault(find(i), []).append(complex(raw[i]))
-        deriv = work.derivative()
+        coeffs = [complex(c) for c in f.coeffs]
+        deriv = f.derivative()
         cscale = max(abs(c) for c in coeffs)
-        numeric = []
-        for members in clusters.values():
-            mult = len(members)
-            z = sum(members) / mult
-            z = _newton_polish(work, deriv, z, mult, tolerance)
+        for z in np.roots(coeffs[::-1]):
+            z = _newton_polish(f, deriv, complex(z))
             if abs(z.imag) <= 1e-10 * max(1.0, abs(z.real)):
                 z = complex(z.real, 0.0)
-            residual = abs(work(z))
-            bound = tolerance * cscale * max(1.0, abs(z)) ** work.degree
+            residual = abs(f(z))
+            bound = ROOT_TOLERANCE * cscale * max(1.0, abs(z)) ** f.degree
             if residual > bound:
                 raise RootFindingError(
                     f"root {z}: residual {residual:.3e} above tolerance scale {bound:.3e}"
                 )
-            numeric.append((z, mult))
-        numeric.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-        roots.extend(numeric)
-    return roots
+            numeric.append((z, m))
+    exact.sort(key=lambda rm: rm[0])
+    numeric.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    return exact + numeric
 
 
 @dataclass(frozen=True)
@@ -286,7 +282,7 @@ class DominantPart:
         return len(self.unit_terms)
 
 
-def dominant_part(ps: PowerSum, tie_tol: float = 1e-9) -> DominantPart:
+def dominant_part(ps: PowerSum) -> DominantPart:
     """Extract (s, alpha, unit terms) from a nonempty power sum."""
     if not ps.terms:
         raise ValueError("the empty power sum has no dominant part")
@@ -295,7 +291,7 @@ def dominant_part(ps: PowerSum, tie_tol: float = 1e-9) -> DominantPart:
     at_max = [
         (poly, root)
         for (poly, root), m in zip(ps.terms, moduli)
-        if abs(m - alpha) <= tie_tol * alpha
+        if abs(m - alpha) <= TIE_TOLERANCE * alpha
     ]
     s = max(poly.degree for poly, _ in at_max)
     unit_terms = tuple(
@@ -306,14 +302,14 @@ def dominant_part(ps: PowerSum, tie_tol: float = 1e-9) -> DominantPart:
     return DominantPart(s, alpha, unit_terms)
 
 
-def vandermonde_modulus(betas, tol: float = 1e-9) -> float:
+def vandermonde_modulus(betas) -> float:
     """prod_{u<v} |beta_v - beta_u|; the empty product (one beta) is 1."""
     betas = [complex(b) for b in betas]
     product = 1.0
     for u in range(len(betas)):
         for v in range(u + 1, len(betas)):
             gap = abs(betas[v] - betas[u])
-            if gap <= tol:
+            if gap <= BETA_GAP_TOLERANCE:
                 raise ValueError(f"coincident betas at positions {u} and {v}")
             product *= gap
     return product

@@ -181,6 +181,54 @@ NON_CANONICAL_FORMS = {
 }
 
 
+def _swap_certificate(candidate, index, cert) -> dict:
+    """refute_all(candidate)'s document with certificate `index` replaced by
+    `cert`, written and digested as the producer writes a document."""
+    certificates = list(refute_all(candidate).certificates)
+    certificates[index] = cert
+    return bundle_to_document(RefutationBundle(candidate, tuple(certificates)))
+
+
+def _polynomial_plus_x() -> PolynomialCertificate:
+    """TIMES_FOUR's polynomial certificate with p + x stored, and its own value at -1."""
+    cert = refute_by_polynomial(TIMES_FOUR)
+    p = cert.polynomial + Polynomial((0, 1))
+    return dataclasses.replace(cert, polynomial=p, value_at_minus_order=Fraction(p(-1)))
+
+
+STAY = LinearRecurrence((1,))  # b(n+1) = b(n): C_2 - C_1 = 0, so window 1 has residual 0
+
+# Re-digested documents in which every stored field agrees with what it is
+# computed from, each refused by one check of validate_document; reason pattern.
+TRUST_BOUNDARY_FORGERIES = {
+    "polynomial_of_another_candidate": (
+        lambda: _swap_certificate(TIMES_FOUR, 1, refute_by_polynomial(LinearRecurrence((2,)))),
+        "polynomial certificate coefficients differ from candidate",
+    ),
+    "gf_of_another_candidate": (
+        lambda: _swap_certificate(TIMES_FOUR, 3, refute_by_gf(LinearRecurrence((2,)))),
+        "stored p/q is not the candidate's generating function",
+    ),
+    "hankel_bound_below_order": (
+        lambda: _swap_certificate(LinearRecurrence((1, 1)), 2, refute_by_hankel(1)),
+        "hankel bound 1 below candidate order 2",
+    ),
+    "value_at_minus_k_off_the_closed_form": (
+        lambda: _swap_certificate(TIMES_FOUR, 1, _polynomial_plus_x()),
+        "value at -k does not match the closed form",
+    ),
+    "zero_residual_witness": (
+        lambda: _swap_certificate(
+            STAY, 1,
+            dataclasses.replace(
+                refute_by_polynomial(STAY), witness_index=1, residual=Fraction(0)
+            ),
+        ),
+        "residual must be nonzero",
+    ),
+}
+
+
 def hankel_past_cap_text() -> str:
     """A TIMES_FOUR bundle whose Hankel certificate is consistent in size but
     one order past HANKEL_ORDER_CAP (determinants unchecked), digest recomputed."""
@@ -780,6 +828,15 @@ class TestSerialization:
         doc = certify_module.bundle_to_document(franken)
         with pytest.raises(CertificateError, match="normalization"):
             validate_document(doc)
+
+    @pytest.mark.parametrize("name", sorted(TRUST_BOUNDARY_FORGERIES))
+    def test_trust_boundary_refusals(self, name):
+        build, reason = TRUST_BOUNDARY_FORGERIES[name]
+        doc = build()
+        with pytest.raises(CertificateError, match=re.escape(reason)):
+            validate_document(doc)
+        with pytest.raises(CertificateError, match=re.escape(reason)):
+            validate_serialized(json.dumps(doc))
 
     def test_single_digit_flips_always_fail(self):
         text = serialize_bundle(refute_all(TIMES_FOUR))

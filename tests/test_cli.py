@@ -101,6 +101,12 @@ class TestCatalanCommand:
         assert code == 0
         assert "1 1" in out
 
+    def test_single_term_ballot_refused(self, capsys):
+        # ballot counting starts at n = 2, so one term has no ballot row
+        code, out, err = run(capsys, "catalan", "-n", "1", "--method", "ballot")
+        assert (code, out) == (2, "")
+        assert "ballot counting starts at n = 2" in err
+
     def test_ballot_cap_guidance(self, capsys):
         code, _, err = run(capsys, "catalan", "-n", "20", "--method", "ballot")
         assert code == 2
@@ -192,6 +198,11 @@ class TestGuessCommand:
         code, _, err = run(capsys, "guess", "--max-order", "3")
         assert code == 2
         assert "supply" in err
+
+    def test_blank_terms_refused(self, capsys):
+        code, out, err = run(capsys, "guess", "--terms", " ")
+        assert (code, out) == (2, "")
+        assert "no terms supplied" in err
 
     def test_negative_max_order_is_named(self, capsys):
         # terms were supplied, so the error names the bad bound, not the terms

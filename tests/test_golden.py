@@ -95,6 +95,11 @@ GOLDEN_STDOUT = {
         "9694845,35357670,129644790,477638700,1767263190",
     ),
     "cli_guess_offset4.json": ("guess", "--max-order", "5", "--json", "--terms", "1,2,4,8,16,33"),
+    # binet on squarefree characteristic polynomials: irrational roots
+    # (Fibonacci), rational roots (2^n - 1), and a dropped zero root
+    "cli_binet_fibonacci.json": ("binet", "--initial", "1,1", "--json", "1,1"),
+    "cli_binet_2n_minus_1.json": ("binet", "--initial", "1,3", "--json", "--", "-2,3"),
+    "cli_binet_zero_root.json": ("binet", "--initial", "1,1", "--json", "0,2"),
     **{
         f"cli_help_{command}.txt": (command, "--help")
         for command in ("catalan", "guess", "refute", "binet", "gf", "validate")

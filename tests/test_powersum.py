@@ -118,7 +118,7 @@ class TestPolynomialRoots:
         assert sorted(complex(r).imag for r, _ in roots) == pytest.approx([-1.0, 1.0])
 
     def test_irrational_double_root_cluster(self):
-        # (x^2 - 2)^2: companion-matrix roots split by ~1e-8 must merge
+        # (x^2 - 2)^2: the squarefree factor x^2 - 2 comes with multiplicity 2
         p = Polynomial((4, 0, -4, 0, 1))
         roots = polynomial_roots(p)
         assert sorted(m for _, m in roots) == [2, 2]
@@ -133,6 +133,39 @@ class TestPolynomialRoots:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             polynomial_roots(Polynomial())
+
+    def test_inexact_coefficients_refused(self):
+        for coeffs in ((1.0, -2.0, 1.0), (1, 0, 1j)):
+            with pytest.raises(ValueError, match="exact coefficients"):
+                polynomial_roots(Polynomial(coeffs))
+
+    def test_near_double_root_is_two_simple_roots(self):
+        # (x - 1)^2 - 10^-14 has the simple roots 1 +- 10^-7, which sit well
+        # inside the spread of a companion-matrix double root
+        roots = polynomial_roots(Polynomial((1 - Fraction(1, 10**14), -2, 1)))
+        assert [m for _, m in roots] == [1, 1]
+        assert [complex(r).real for r, _ in roots] == pytest.approx(
+            [1 - 1e-7, 1 + 1e-7], abs=1e-9
+        )
+
+    def test_squared_factor_sweep(self):
+        # p = a^2 b for random monic integer a, b with a b squarefree: every
+        # root of a has multiplicity 2 in p, every root of b multiplicity 1
+        rng = random.Random(3)
+        cases = 0
+        while cases < 40:
+            a = Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(2, 4))] + [1])
+            b = Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [1])
+            ab = a * b
+            if poly_gcd(ab, ab.derivative()).degree > 0 or ab.coefficient(0) == 0:
+                continue
+            cases += 1
+            roots = polynomial_roots(a * a * b)
+            assert sorted(m for _, m in roots) == [1] * b.degree + [2] * a.degree
+            for r, m in roots:
+                factor = a if m == 2 else b
+                z = complex(r)
+                assert abs(factor(z)) <= 1e-6 * max(1.0, abs(z)) ** factor.degree
 
 
 class TestBinetForm:
@@ -187,6 +220,25 @@ class TestBinetForm:
             expected = iterate_recurrence(rec, initial, 30)
             for n in range(1, 31):
                 assert evaluate_powersum(ps, n) == expected[n - 1]
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [
+            (-1, -2, 1, 2),  # (x^2 - x - 1)^2; the initial terms below make b_n = n F_n
+            (-4, 0, 4, 0),  # (x^2 - 2)^2
+            (-9, -6, 5, 2),  # (x^2 - x - 3)^2
+        ],
+    )
+    def test_repeated_irrational_roots_reconstruct(self, coefficients):
+        rec = LinearRecurrence(coefficients)
+        initial = (1, 2, 6, 12)
+        ps = binet_form(rec, initial)
+        assert sorted(poly.degree for poly, _ in ps.terms) == [1, 1]
+        expected = iterate_recurrence(rec, initial, 30)
+        # exact multiplicities leave only rounding, about 1e-15 relative here
+        for n in range(1, 31):
+            error = abs(complex(evaluate_powersum(ps, n)) - complex(expected[n - 1]))
+            assert error <= 1e-12 * max(1.0, abs(expected[n - 1]))
 
     def test_repeated_rational_root(self):
         # characteristic (x - 2)^2 = x^2 - 4x + 4: rec a = (-4, 4)
