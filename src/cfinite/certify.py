@@ -19,6 +19,11 @@ using nothing but exact Catalan values and the certificate fields:
 * gf mismatch: the rational generating function the candidate would force
   disagrees with the Catalan series at an explicit coefficient.
 
+One cap, ORDER_CAP, bounds every order a certificate names: the
+candidate's, the Hankel bound, the parity vector's length - 1, the
+polynomial certificate's and the gf degrees.  Engines and validators (after
+their consistency checks) refuse an order past it with ResourceLimitError.
+
 Bundles serialize to canonical JSON (sorted keys, fixed separators) with a
 sha256 digest over the payload.  One table, _FORMAT, gives each
 certificate's kind tag and its fields with the codec that writes and reads
@@ -35,22 +40,17 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import linalg
 from .errors import CertificateError, ResourceLimitError
-from .gfseries import expand_rational, linear_factor_product, Polynomial, rational_gf, RationalFunction
+from .gfseries import _expansion, linear_factor_product, Polynomial, rational_gf
 from .recurrence import LinearRecurrence, normalize_coprime
 from .schema import canonical_json as _canonical_json, SCHEMA_TAG
 from .seqcore import catalan_closed, catalan_is_odd
 
-# Residuals are computed exactly while the window stays below this index;
-# C_5000 has about 3000 digits, which is still cheap.
-EXACT_RESIDUAL_CAP = 5000
-
-# Largest Hankel order bound either side handles: the path check makes
-# O(K^2) additions of O(K)-bit integers (about 0.05 s at 512 and 0.3 s at
-# 1,024 on one x86-64 core).
-HANKEL_ORDER_CAP = 1024
+# At 1,024 every parity window ends by C_5120, about 3,100 digits.
+ORDER_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class ParityCertificate:
     exponent: int  # m, with window_start + odd_index == 2**m
     window_start: int  # n
     parity_table: tuple  # parity of a_j * C_{n+j} for j = 0..k
-    residual: int | None  # exact sum_j a_j C_{n+j} when below the cap
+    residual: int | None  # exact sum_j a_j C_{n+j}; null only in older documents
 
     @property
     def order(self) -> int:
@@ -106,9 +106,23 @@ class RefutationBundle:
     certificates: tuple
 
 
+def _check_order_cap(what: str, order: int) -> None:
+    if order > ORDER_CAP:
+        raise ResourceLimitError(f"{what} {order} is past the cap of {ORDER_CAP}")
+
+
+def _shown(value) -> str:
+    """value as text for a refusal message, which must not raise itself."""
+    try:
+        return str(value)
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        return "a number too long to print"
+
+
 def _candidate_rational(candidate: LinearRecurrence):
     if not candidate.is_rational():
         raise ValueError("refutation engines take rational candidates")
+    _check_order_cap("candidate order", candidate.order)
     return candidate.coefficients
 
 
@@ -158,15 +172,12 @@ def _parity_window(vector) -> tuple:
     return l, m, n, table
 
 
-def refute_by_parity(
-    candidate: LinearRecurrence, exact_cap: int = EXACT_RESIDUAL_CAP
-) -> ParityCertificate:
+def refute_by_parity(candidate: LinearRecurrence) -> ParityCertificate:
     """Refute via the lone odd summand in a window around a power of two."""
     _candidate_rational(candidate)
     vector = normalize_coprime(candidate).entries
     l, m, n, table = _parity_window(vector)
-    residual = _window_sums(vector, n, 1)[0] if n + len(vector) - 1 <= exact_cap else None
-    cert = ParityCertificate(vector, l, m, n, table, residual)
+    cert = ParityCertificate(vector, l, m, n, table, _window_sums(vector, n, 1)[0])
     validate_parity(cert)
     return cert
 
@@ -185,14 +196,14 @@ def validate_parity(cert: ParityCertificate) -> None:
         raise CertificateError(f"window or parity table is not {derived} derived from the vector")
     if sum(cert.parity_table) != 1:
         raise CertificateError("window does not isolate exactly one odd summand")
-    if cert.residual is not None:
-        recomputed = _window_sums(vector, cert.window_start, 1)[0]
-        if cert.residual != recomputed:
-            raise CertificateError(
-                f"stored residual {cert.residual} != recomputed {recomputed}"
-            )
-        if cert.residual % 2 == 0:
-            raise CertificateError("exact residual should be odd")
+    _check_order_cap("parity vector order", len(vector) - 1)
+    if cert.residual is None:  # written before the order cap: the table is the proof
+        return
+    exact = _window_sums(vector, cert.window_start, 1)[0]
+    if cert.residual != exact:
+        raise CertificateError(f"stored residual {cert.residual} != recomputed {_shown(exact)}")
+    if cert.residual % 2 == 0:
+        raise CertificateError("exact residual should be odd")
 
 
 def summand_polynomial(order: int, j: int) -> Polynomial:
@@ -244,7 +255,7 @@ def validate_polynomial(cert: PolynomialCertificate) -> None:
     p(n) = M(k, n) * residual(n) with M(k, n) = (n+k)_{k+1} ((n+k-1)!)**2 /
     (2n-2)! > 0 is checked at n = 1..3k+1, in integers (P = scale * p, and
     S(n) = -v_k * residual(n) from _window_sums); with deg p <= 3k this
-    proves p is the candidate's polynomial.
+    proves p is the candidate's polynomial.  n* is the first nonzero window.
     """
     k = cert.order
     if k < 1 or len(cert.coefficients) != k:
@@ -252,6 +263,7 @@ def validate_polynomial(cert: PolynomialCertificate) -> None:
     p = cert.polynomial
     if p.degree > 3 * k:
         raise CertificateError(f"certificate polynomial must have degree <= {3 * k}")
+    _check_order_cap("polynomial certificate order", k)
     ints, scale = linalg.clear_denominators(p.coeffs)
     integer_p = Polynomial(ints)
     if Fraction(integer_p(-k), scale) != cert.value_at_minus_order:
@@ -270,9 +282,11 @@ def validate_polynomial(cert: PolynomialCertificate) -> None:
             raise CertificateError(f"p({m}) != M({k}, {m}) * residual({m}): not the candidate's p")
     residual = Fraction(sums[n - 1], -vector[-1])
     if residual != cert.residual:
-        raise CertificateError(f"stored residual {cert.residual} != recomputed {residual}")
+        raise CertificateError(f"stored residual {cert.residual} != recomputed {_shown(residual)}")
     if residual == 0:
         raise CertificateError("residual must be nonzero")
+    if any(sums[: n - 1]):
+        raise CertificateError(f"witness index {n} is not the first nonzero window")
 
 
 def _catalan_hankel_minors(order_bound: int) -> list:
@@ -306,16 +320,9 @@ def refute_by_hankel(order_bound: int) -> HankelCertificate:
     all 1 by one path check (see _catalan_hankel_minors)."""
     if order_bound < 0:
         raise ValueError(f"need order bound >= 0, got {order_bound}")
-    _check_hankel_cap(order_bound)
+    _check_order_cap("hankel order bound", order_bound)
     minors = _catalan_hankel_minors(order_bound)  # K + 1 ones, or it raises
     return HankelCertificate(order_bound, tuple((k, 1, det) for k, det in enumerate(minors)))
-
-
-def _check_hankel_cap(bound: int) -> None:
-    if bound > HANKEL_ORDER_CAP:
-        raise ResourceLimitError(
-            f"hankel order bound {bound} is past the cap of {HANKEL_ORDER_CAP}"
-        )
 
 
 def validate_hankel(cert: HankelCertificate) -> None:
@@ -331,15 +338,14 @@ def validate_hankel(cert: HankelCertificate) -> None:
     weigh 1 at height 0 and 2 above it) must equal C_{n+1} for n <= 2K, and
     then H_k = B_k B_k^T with B_k unitriangular (see _catalan_hankel_minors).
     It costs O(K^2) additions of O(K)-bit integers, against the cubic
-    Bareiss pass it replaces.  A consistent bound past HANKEL_ORDER_CAP
-    raises ResourceLimitError.
+    Bareiss pass it replaces.
     """
     bound = cert.order_bound
     if bound < 0 or len(cert.witnesses) != bound + 1:
         raise CertificateError(
             f"{len(cert.witnesses)} witness(es) cannot cover orders 0..{bound}"
         )
-    _check_hankel_cap(bound)
+    _check_order_cap("hankel order bound", bound)
     for k, (order, offset, _) in enumerate(cert.witnesses):
         if (order, offset) != (k, 1):
             raise CertificateError(
@@ -378,29 +384,33 @@ def validate_gf(cert: GfMismatchCertificate) -> None:
     """Recheck that the series of the stored p/q first leaves the Catalan
     one at the stored index, with the stored values.
 
-    The index is bounded before anything is expanded.  With q(0) = 1,
+    p/q is expanded as stored, unreduced (the candidate link compares it
+    with the candidate's reduced pair), up to its first departure from C_n.
+    The index is bounded before anything is expanded.  With q(0) != 0,
     e = deg q and d = max(deg p, e), a series matching C_1..C_{2d+1} would
     satisfy the recurrence of q from index d + 1 on, so the order-e Catalan
     window matrix at offset d + 1 - e >= 1 would have the kernel vector
-    (q_e, ..., q_1, 1); Catalan Hankel minors are positive at every offset
+    (q_e, ..., q_1, q_0); Catalan Hankel minors are positive at every offset
     (Aigner, JCTA 87, 1999), so the first mismatch is at most 2d + 1.
     """
-    if cert.denominator(0) == 0:
+    p, q = cert.numerator, cert.denominator
+    if q(0) == 0:
         raise CertificateError("denominator must be nonzero at 0")
-    rf = RationalFunction(cert.numerator, cert.denominator)
-    bound = 2 * max(rf.numerator.degree, rf.denominator.degree) + 1
+    degree = max(p.degree, q.degree)
     n = cert.mismatch_index
-    if not 1 <= n <= bound:
-        raise CertificateError(f"mismatch index {n} outside 1..{bound}")
-    series = expand_rational(rf, n).coefficients[1:]
+    if not 1 <= n <= 2 * degree + 1:
+        raise CertificateError(f"mismatch index {n} outside 1..{2 * degree + 1}")
+    _check_order_cap("gf degree", degree)
     catalan = _catalan_table(1, n)
-    first = next((i for i, (s, c) in enumerate(zip(series, catalan), 1) if s != c), None)
+    series = islice(_expansion(p, q), 1, n + 1)
+    departures = ((i, s) for i, (s, c) in enumerate(zip(series, catalan), 1) if s != c)
+    first, s = next(departures, (None, None))
     if first != n:
         found = f"it leaves C_{first} first" if first else f"it matches C_1..C_{n}"
         raise CertificateError(f"mismatch index {n} is not the series' first departure: {found}")
-    if series[-1] != cert.series_value:
+    if s != cert.series_value:
         raise CertificateError(
-            f"stored series value {cert.series_value} != recomputed {series[-1]}"
+            f"stored series value {cert.series_value} != recomputed {_shown(s)}"
         )
     if catalan[-1] != cert.catalan_value:
         raise CertificateError(f"stored Catalan value {cert.catalan_value} != exact {catalan[-1]}")
@@ -418,18 +428,15 @@ def validate_certificate(cert) -> None:
     _VALIDATORS[type(cert)](cert)
 
 
-def refute_all(
-    candidate: LinearRecurrence,
-    exact_cap: int = EXACT_RESIDUAL_CAP,
-    hankel_bound: int | None = None,
-) -> RefutationBundle:
+def refute_all(candidate: LinearRecurrence, hankel_bound: int | None = None) -> RefutationBundle:
     """All applicable certificates, in the fixed order parity, polynomial,
-    hankel, gf (the polynomial engine is skipped at order 0)."""
-    certificates = [refute_by_parity(candidate, exact_cap)]
+    hankel, gf (the polynomial engine is skipped at order 0); caps first."""
+    hankel_bound = candidate.order if hankel_bound is None else hankel_bound
+    _check_order_cap("candidate order", candidate.order)
+    _check_order_cap("hankel order bound", hankel_bound)
+    certificates = [refute_by_parity(candidate)]
     if candidate.order >= 1:
         certificates.append(refute_by_polynomial(candidate))
-    if hankel_bound is None:
-        hankel_bound = candidate.order
     certificates.append(refute_by_hankel(hankel_bound))
     certificates.append(refute_by_gf(candidate))
     return RefutationBundle(candidate, tuple(certificates))
@@ -624,7 +631,8 @@ def validate_document(doc: dict) -> RefutationBundle:
     bundle_to_document writes for its bundle (no extra key, no "6/1" for
     "6"), every certificate's own validity, and that each certificate
     actually refers to the document's candidate recurrence.  Raises
-    CertificateError on the first failure.
+    CertificateError on the first failure, and ResourceLimitError on a
+    consistent document naming an order past ORDER_CAP.
     """
     if not isinstance(doc, dict):
         raise CertificateError("document must be a JSON object")
@@ -648,6 +656,7 @@ def validate_document(doc: dict) -> RefutationBundle:
         raise CertificateError(
             "document is not in its written form: a field is unknown or not canonical"
         )
+    _check_order_cap("candidate order", bundle.candidate.order)
     for cert in bundle.certificates:
         validate_certificate(cert)
         _check_candidate_link(cert, bundle.candidate)
@@ -664,7 +673,7 @@ def _check_candidate_link(cert, candidate: LinearRecurrence) -> None:
         if cert.coprime_vector != expected:
             raise CertificateError(
                 f"parity vector {cert.coprime_vector} is not the candidate's "
-                f"coprime normalization {expected}"
+                f"coprime normalization {_shown(expected)}"
             )
     elif isinstance(cert, PolynomialCertificate):
         if cert.coefficients != candidate.coefficients:

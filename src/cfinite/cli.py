@@ -13,8 +13,9 @@ the command line use "p/q" with no whitespace, separated by commas.
 
 Exit status: 0 on success, 1 when a certificate fails validation, 2 on
 usage or data errors and on inputs past a resource cap (ResourceLimitError:
-a --ballot-cap above seqcore.BALLOT_CAP_MAX, or a Hankel order bound above
-certify.HANKEL_ORDER_CAP, also in a document given to validate).
+a --ballot-cap above seqcore.BALLOT_CAP_MAX, or an order above
+certify.ORDER_CAP: a refute candidate's or --max-order, or any a document
+given to validate names).
 
 Start-up imports only what parsing and JSON output need (seqcore, errors,
 schema); each handler imports its own engines.  `catalan` loads nothing
@@ -269,23 +270,15 @@ def _cmd_refute(args) -> CommandResult:
     from .recurrence import LinearRecurrence
 
     candidate = LinearRecurrence(parse_rational_list(args.coefficients))
-    exact_cap = certify.EXACT_RESIDUAL_CAP if args.exact_cap is None else args.exact_cap
-    if args.method == "all":
-        bundle = certify.refute_all(
-            candidate,
-            exact_cap=exact_cap,
-            hankel_bound=args.max_order,
-        )
-    else:
-        engines = {
-            "parity": lambda: certify.refute_by_parity(candidate, exact_cap),
-            "poly": lambda: certify.refute_by_polynomial(candidate),
-            "hankel": lambda: certify.refute_by_hankel(
-                args.max_order if args.max_order is not None else candidate.order
-            ),
-            "gf": lambda: certify.refute_by_gf(candidate),
-        }
-        bundle = certify.RefutationBundle(candidate, (engines[args.method](),))
+    bound = candidate.order if args.max_order is None else args.max_order
+    engines = {
+        "all": lambda: certify.refute_all(candidate, bound).certificates,
+        "parity": lambda: (certify.refute_by_parity(candidate),),
+        "poly": lambda: (certify.refute_by_polynomial(candidate),),
+        "hankel": lambda: (certify.refute_by_hankel(bound),),
+        "gf": lambda: (certify.refute_by_gf(candidate),),
+    }
+    bundle = certify.RefutationBundle(candidate, engines[args.method]())
     doc = certify.bundle_to_document(bundle)
     lines = [f"candidate: {candidate} (order {candidate.order}, field {candidate.field})"]
     try:
@@ -296,8 +289,7 @@ def _cmd_refute(args) -> CommandResult:
     summaries = {
         certify.ParityCertificate: lambda c: (
             f"parity: vector {c.coprime_vector}, window n = {c.window_start}, "
-            f"lone power of two at n + {c.odd_index} = 2^{c.exponent}"
-            + (f", exact residual {c.residual}" if c.residual is not None else "")
+            f"lone power of two at n + {c.odd_index} = 2^{c.exponent}, exact residual {c.residual}"
         ),
         certify.PolynomialCertificate: lambda c: (
             f"polynomial: p(x) = {c.polynomial}, p(-{c.order}) = {c.value_at_minus_order}, "
@@ -512,12 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="order bound for the hankel engine (default: the candidate's order)",
-    )
-    p.add_argument(
-        "--exact-cap",
-        type=int,
-        default=None,
-        help="compute exact residuals while the window stays below this index",
     )
     p.add_argument("--output", help="write the serialized certificate document here")
     p.set_defaults(handler=_cmd_refute)

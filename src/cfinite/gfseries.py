@@ -16,6 +16,7 @@ inversion recurrence, and the reconstruction direction recovers p/q from
 enough sequence terms when one exists.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -467,18 +468,22 @@ def rational_gf(rec: "LinearRecurrence", initial_terms) -> RationalFunction:
     return rf
 
 
+def _expansion(p: Polynomial, q: Polynomial):
+    """The coefficients of p * q**(-1), q(0) != 0 (callers check it), from
+    index 0 on and without end, by the inversion recurrence."""
+    q0 = q(0)
+    coeffs = []
+    for n in itertools.count():
+        acc = Fraction(p.coefficient(n))
+        for i in range(1, min(n, q.degree) + 1):
+            acc -= q.coefficient(i) * coeffs[n - i]
+        coeffs.append(acc / q0)
+        yield coeffs[-1]
+
+
 def expand_rational(rf: RationalFunction, order: int) -> TruncatedSeries:
     """Series of p * q**(-1) via the inversion recurrence, exact rationals."""
-    q0 = rf.denominator(0)
-    if q0 == 0:
-        raise ValueError("denominator must be nonzero at 0")
-    coeffs = []
-    for n in range(order + 1):
-        acc = Fraction(rf.numerator.coefficient(n))
-        for i in range(1, min(n, rf.denominator.degree) + 1):
-            acc -= rf.denominator.coefficient(i) * coeffs[n - i]
-        coeffs.append(acc / q0)
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries(itertools.islice(_expansion(rf.numerator, rf.denominator), order + 1))
 
 
 def pade_reconstruct(seq: Sequence, num_degree: int, den_degree: int):

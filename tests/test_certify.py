@@ -1,13 +1,16 @@
 """Refutation engines, validators, and certificate serialization."""
 
+import contextlib
 import dataclasses
 import functools
 import json
 import math
 import random
 import re
+import signal
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -20,8 +23,8 @@ from cfinite.certify import (
     certificate_from_fields,
     certificate_to_fields,
     GfMismatchCertificate,
-    HANKEL_ORDER_CAP,
     HankelCertificate,
+    ORDER_CAP,
     parse_bundle,
     ParityCertificate,
     PolynomialCertificate,
@@ -56,6 +59,20 @@ def candidate_residual(coefficients, n: int) -> Fraction:
     for j, a in enumerate(coefficients):
         acc += Fraction(a) * catalan_closed(n + j)
     return acc
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError(f"validation still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _forge_fields(text, edit, *replacements):
@@ -123,6 +140,27 @@ def _forge_certificates(value):
     return _forge_fields(text, lambda doc: doc.update(certificates=value))
 
 
+def _parity_of(vector, residual=1) -> ParityCertificate:
+    """A parity certificate for `vector` with its derived window and table."""
+    return ParityCertificate(vector, *certify_module._parity_window(vector), residual)
+
+
+def huge_digit_parity_text() -> str:
+    """A TIMES_FOUR document with the order-64 parity vector (X, 0, ..., 0, 1),
+    X one digit under the int/str conversion limit (4,299 sevens by default),
+    and residual 1: its recomputed residual X C_256 + C_320 is past the limit."""
+    huge = int("7" * (sys.get_int_max_str_digits() - 1))
+    return serialize_bundle(RefutationBundle(TIMES_FOUR, (_parity_of((huge,) + (0,) * 63 + (1,)),)))
+
+
+def gf_over_one_minus_x_to(d: int) -> str:
+    """TIMES_FOUR's document with the gf certificate x/(1 - x**d) at mismatch
+    index 2d + 1, within the index bound; its series 1, 0, ... leaves C_2 = 1."""
+    q = Polynomial((1,) + (0,) * (d - 1) + (-1,))
+    cert = GfMismatchCertificate(Polynomial((0, 1)), q, 2 * d + 1, Fraction(0), 1)
+    return json.dumps(_swap_certificate(TIMES_FOUR, 3, cert))
+
+
 # Re-digested documents that fuzzing found validating, or escaping with an
 # uncaught exception, or expanding without end; each must be refused with
 # CertificateError in well under a second, with the reason's pattern.
@@ -157,6 +195,12 @@ HOLE_FORGERIES = {
         lambda: _forge_kind(EMPTY, "gf-mismatch", mismatch_index=2),
         "outside 1..1",
     ),
+    # the message once printed the recomputed residual and escaped as ValueError
+    "parity_residual_past_the_digit_limit": (
+        huge_digit_parity_text, "stored residual 1 != recomputed a number too long to print"
+    ),
+    # once expanded to index 2001 and reduced by gcd first, 5.9 s
+    "gf_over_one_minus_x_to_1000": (lambda: gf_over_one_minus_x_to(1000), "leaves C_2 first"),
 }
 
 
@@ -226,15 +270,58 @@ TRUST_BOUNDARY_FORGERIES = {
         ),
         "residual must be nonzero",
     ),
+    # residual(1) = 3 and residual(2) = 2: a true residual, but not the first
+    "witness_moved_to_a_later_window": (
+        lambda: _swap_certificate(
+            TIMES_FOUR, 1,
+            dataclasses.replace(
+                refute_by_polynomial(TIMES_FOUR), witness_index=2,
+                residual=candidate_residual((4,), 2),
+            ),
+        ),
+        "witness index 2 is not the first nonzero window",
+    ),
 }
 
 
 def hankel_past_cap_text() -> str:
     """A TIMES_FOUR bundle whose Hankel certificate is consistent in size but
-    one order past HANKEL_ORDER_CAP (determinants unchecked), digest recomputed."""
-    bound = HANKEL_ORDER_CAP + 1
+    one order past ORDER_CAP (determinants unchecked), digest recomputed."""
+    bound = ORDER_CAP + 1
     witnesses = [{"determinant": "1", "offset": 1, "order": k} for k in range(bound + 1)]
     return _forge_kind(TIMES_FOUR, "hankel", order_bound=bound, witnesses=witnesses)
+
+
+PAST_CAP = ORDER_CAP + 1
+
+
+def _alone(cert, candidate=TIMES_FOUR) -> dict:
+    """The document of `candidate` with `cert` as its only certificate."""
+    return bundle_to_document(RefutationBundle(candidate, (cert,)))
+
+
+# Documents naming one order ORDER_CAP + 1, each consistent up to the cap
+# check; the one certificate runs first, so no other builds a Catalan value.
+PAST_CAP_DOCUMENTS = {
+    "candidate": lambda: _alone(refute_by_parity(TIMES_FOUR), LinearRecurrence((0,) * PAST_CAP)),
+    "parity": lambda: _alone(_parity_of((1,) * (PAST_CAP + 1))),
+    "polynomial": lambda: _alone(
+        PolynomialCertificate(
+            PAST_CAP, (Fraction(0),) * PAST_CAP, Polynomial((1,)), Fraction(1), 1, Fraction(1)
+        )
+    ),
+    "hankel": lambda: _alone(
+        HankelCertificate(PAST_CAP, tuple((k, 1, 1) for k in range(PAST_CAP + 1)))
+    ),
+    "gf_numerator": lambda: _alone(
+        GfMismatchCertificate(Polynomial((0,) * PAST_CAP + (1,)), Polynomial((1,)), 1, 0, 1)
+    ),
+    "gf_denominator": lambda: _alone(
+        GfMismatchCertificate(
+            Polynomial((0, 1)), Polynomial((1,) + (0,) * (PAST_CAP - 1) + (-1,)), 2, 0, 1
+        )
+    ),
+}
 
 
 # Orders of the polynomial-field forgery tests.
@@ -306,8 +393,8 @@ class TestParityEngine:
             assert powers == [cert.window_start + cert.odd_index]
 
     def test_above_cap_keeps_parity_table_only(self):
-        cert = refute_by_parity(TIMES_FOUR, exact_cap=3)
-        assert cert.residual is None
+        # documents written before the order cap may carry a null residual
+        cert = dataclasses.replace(refute_by_parity(TIMES_FOUR), residual=None)
         validate_certificate(cert)
 
     def test_validator_rejects_mutations(self):
@@ -532,16 +619,16 @@ class TestHankelEngine:
             validate_certificate(HankelCertificate(-1, ()))
 
     def test_order_bound_cap(self):
-        assert HANKEL_ORDER_CAP >= 128
+        assert ORDER_CAP >= 128
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match="past the cap of"):
             validate_serialized(hankel_past_cap_text())
         with pytest.raises(ResourceLimitError, match="past the cap of"):
-            refute_by_hankel(HANKEL_ORDER_CAP + 1)
+            refute_by_hankel(ORDER_CAP + 1)
         assert time.perf_counter() - start < 1
         # the count check comes first, so an inconsistent bound stays a CertificateError
         with pytest.raises(CertificateError, match="cannot cover orders"):
-            validate_certificate(HankelCertificate(HANKEL_ORDER_CAP + 1, ((0, 1, 1),)))
+            validate_certificate(HankelCertificate(ORDER_CAP + 1, ((0, 1, 1),)))
 
     def test_order_128_document_validates(self):
         for bound in (128, 512):
@@ -765,6 +852,56 @@ class TestRefuteAll:
             assert poly.residual == candidate_residual(coeffs, poly.witness_index)
 
 
+class TestOrderCap:
+    @pytest.mark.parametrize("name", sorted(PAST_CAP_DOCUMENTS))
+    def test_document_past_the_cap_refused_before_any_catalan_value(self, monkeypatch, name):
+        doc = PAST_CAP_DOCUMENTS[name]()
+        calls = []
+        table = certify_module._catalan_table
+        monkeypatch.setattr(
+            certify_module, "_catalan_table", lambda *args: calls.append(args) or table(*args)
+        )
+        with pytest.raises(ResourceLimitError, match=f"{PAST_CAP} is past the cap of {ORDER_CAP}"):
+            validate_document(doc)
+        assert calls == []
+
+    def test_engines_refuse_orders_past_the_cap(self, monkeypatch):
+        calls = []
+        table = certify_module._catalan_table
+        monkeypatch.setattr(
+            certify_module, "_catalan_table", lambda *args: calls.append(args) or table(*args)
+        )
+        past = LinearRecurrence((0,) * PAST_CAP)
+        for refute in (refute_all, refute_by_parity, refute_by_polynomial, refute_by_gf):
+            with pytest.raises(ResourceLimitError, match=f"candidate order {PAST_CAP}"):
+                refute(past)
+        with pytest.raises(ResourceLimitError, match=f"hankel order bound {PAST_CAP}"):
+            refute_all(TIMES_FOUR, hankel_bound=PAST_CAP)
+        assert calls == []
+
+    def test_parity_document_of_order_ten_thousand_refused_in_little_memory(self):
+        # it once built 10,001 Catalan numbers near C_32768 and escaped as ValueError
+        k = 10_000
+        candidate = LinearRecurrence((1,) * k)
+        cert = _parity_of((1,) * k + (-1,))
+        text = serialize_bundle(RefutationBundle(candidate, (cert,)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"candidate order {k} is past the cap"):
+                validate_serialized(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        with pytest.raises(ResourceLimitError, match=f"parity vector order {k} is past the cap"):
+            validate_certificate(cert)
+
+    def test_parity_residual_written_at_the_cap(self):
+        # the window of order ORDER_CAP ends at C_5120, past the old residual cap C_5000
+        cert = refute_by_parity(LinearRecurrence((1,) * ORDER_CAP))
+        assert cert.window_start + ORDER_CAP == 5120 and cert.residual is not None
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         for candidate in (TIMES_FOUR, EMPTY, LinearRecurrence((Fraction(1, 3), 2, Fraction(5, 3)))):
@@ -920,7 +1057,7 @@ class TestSerialization:
         forge, reason = HOLE_FORGERIES[name]
         forged = forge()
         start = time.perf_counter()
-        with pytest.raises(CertificateError, match=reason):
+        with _time_limit(1), pytest.raises(CertificateError, match=reason):
             validate_serialized(forged)
         assert time.perf_counter() - start < 1
 

@@ -2,6 +2,8 @@
 
 Each fixture under tests/fixtures/ was written by the producer and is
 regenerated here byte for byte; every one must also validate standalone.
+The READ_ONLY fixtures are documents the producer no longer writes: their
+bundles are built by hand and the fixtures are never rewritten.
 The cli_* fixtures are the standard output of the commands in
 GOLDEN_STDOUT, compared byte for byte; the --help pages are formatted at
 80 columns.
@@ -9,6 +11,7 @@ To rewrite them after a deliberate format change, run
 `PYTHONPATH=src python tests/test_golden.py` and say why in the change.
 """
 
+import dataclasses
 import os
 import random
 from fractions import Fraction
@@ -44,9 +47,12 @@ def _random_candidate(k: int, seed: int) -> tuple:
     return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k))
 
 
-def _parity_only(coefficients, exact_cap: int) -> RefutationBundle:
+def _null_residual(coefficients) -> RefutationBundle:
+    """A parity-only bundle with a null residual, as written before the order
+    cap for windows past C_5000."""
     candidate = LinearRecurrence(coefficients)
-    return RefutationBundle(candidate, (refute_by_parity(candidate, exact_cap),))
+    cert = dataclasses.replace(refute_by_parity(candidate), residual=None)
+    return RefutationBundle(candidate, (cert,))
 
 
 GOLDEN = {
@@ -55,9 +61,10 @@ GOLDEN = {
     "order2": lambda: refute_all(LinearRecurrence(parse_rational_list("1/2,3"))),
     "exact_fit5": lambda: refute_all(LinearRecurrence(_exact_fit(5))),
     "random8": lambda: refute_all(LinearRecurrence(_random_candidate(8, 8))),
-    # the window C_8..C_11 lies above the cap, so the residual is null
-    "parity_null_residual": lambda: _parity_only(parse_rational_list("1/3,2,5/3"), 10),
+    # written with a residual cap of C_10, which the window C_8..C_11 passed
+    "parity_null_residual": lambda: _null_residual(parse_rational_list("1/3,2,5/3")),
 }
+READ_ONLY = {"parity_null_residual"}
 
 
 def _path(name: str) -> Path:
@@ -134,7 +141,8 @@ if __name__ == "__main__":
     FIXTURES.mkdir(exist_ok=True)
     os.environ["COLUMNS"] = "80"
     for name, build in GOLDEN.items():
-        _path(name).write_text(serialize_bundle(build()))
+        if name not in READ_ONLY:
+            _path(name).write_text(serialize_bundle(build()))
     for name, argv in GOLDEN_STDOUT.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

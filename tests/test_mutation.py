@@ -13,7 +13,6 @@ import copy
 import io
 import json
 import random
-import signal
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +29,7 @@ from cfinite.certify import (
 )
 from cfinite.errors import CertificateError
 from cfinite.recurrence import LinearRecurrence
+from test_certify import _time_limit
 
 VALUES = (10**30, -(10**30), 10**11, 0, -1, 2, "1/0", "abc", None, [], {}, True)
 
@@ -77,20 +77,6 @@ def _mutate(k: int, index: int, value) -> str:
     node[last] = copy.deepcopy(value)
     doc["sha256"] = _payload_digest(doc)
     return json.dumps(doc)
-
-
-@contextlib.contextmanager
-def _time_limit(seconds: int):
-    def expire(signum, frame):
-        raise TimeoutError(f"validation still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _accepted(k: int, text: str) -> bool:
