@@ -22,7 +22,9 @@ using nothing but exact Catalan values and the certificate fields:
 One cap, ORDER_CAP, bounds every order a certificate names: the
 candidate's, the Hankel bound, the parity vector's length - 1, the
 polynomial certificate's and the gf degrees.  Engines and validators (after
-their consistency checks) refuse an order past it with ResourceLimitError.
+their consistency checks) refuse an order past it with ResourceLimitError;
+validate_document refuses a past-cap candidate, and any list longer than
+LIST_CAP = 3 * ORDER_CAP + 1, on the parsed JSON before reading a field.
 
 Bundles serialize to canonical JSON (sorted keys, fixed separators) with a
 sha256 digest over the payload.  One table, _FORMAT, gives each
@@ -430,10 +432,15 @@ def validate_certificate(cert) -> None:
 
 def refute_all(candidate: LinearRecurrence, hankel_bound: int | None = None) -> RefutationBundle:
     """All applicable certificates, in the fixed order parity, polynomial,
-    hankel, gf (the polynomial engine is skipped at order 0); caps first."""
+    hankel, gf (the polynomial engine is skipped at order 0); caps first,
+    then ValueError for a Hankel bound below the candidate's order."""
     hankel_bound = candidate.order if hankel_bound is None else hankel_bound
     _check_order_cap("candidate order", candidate.order)
     _check_order_cap("hankel order bound", hankel_bound)
+    if hankel_bound < candidate.order:
+        raise ValueError(
+            f"hankel bound {hankel_bound} is below the candidate's order {candidate.order}"
+        )
     certificates = [refute_by_parity(candidate)]
     if candidate.order >= 1:
         certificates.append(refute_by_polynomial(candidate))
@@ -624,6 +631,27 @@ def parse_bundle(text: str) -> RefutationBundle:
     return document_to_bundle(_load_document(text))
 
 
+# The longest list a document under the cap holds: the 3k + 1 coefficients
+# of a polynomial certificate's p at k = ORDER_CAP.
+LIST_CAP = 3 * ORDER_CAP + 1
+
+
+def _check_list_lengths(doc) -> None:
+    """ResourceLimitError for a list in the parsed document longer than
+    LIST_CAP: one walk over the JSON, before any field is read."""
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            if len(node) > LIST_CAP:
+                raise ResourceLimitError(
+                    f"a list of {len(node)} entries is past the cap of {LIST_CAP}"
+                )
+            stack.extend(node)
+
+
 def validate_document(doc: dict) -> RefutationBundle:
     """Full standalone validation of a serialized document.
 
@@ -632,7 +660,9 @@ def validate_document(doc: dict) -> RefutationBundle:
     "6"), every certificate's own validity, and that each certificate
     actually refers to the document's candidate recurrence.  Raises
     CertificateError on the first failure, and ResourceLimitError on a
-    consistent document naming an order past ORDER_CAP.
+    document with a candidate or a list past its cap (checked on the JSON,
+    before any field is read) or a consistent one naming an order past
+    ORDER_CAP.
     """
     if not isinstance(doc, dict):
         raise CertificateError("document must be a JSON object")
@@ -646,6 +676,10 @@ def validate_document(doc: dict) -> RefutationBundle:
         raise CertificateError(f"document is not JSON data: {exc}") from exc.with_traceback(None)
     if doc["sha256"] != digest:
         raise CertificateError("payload digest mismatch; the document was altered")
+    candidate = doc.get("candidate")
+    if isinstance(candidate, dict) and isinstance(candidate.get("coefficients"), list):
+        _check_order_cap("candidate order", len(candidate["coefficients"]))
+    _check_list_lengths(doc)
     bundle = document_to_bundle(doc)
     if not bundle.certificates:
         raise CertificateError("document carries no certificate")
@@ -656,7 +690,6 @@ def validate_document(doc: dict) -> RefutationBundle:
         raise CertificateError(
             "document is not in its written form: a field is unknown or not canonical"
         )
-    _check_order_cap("candidate order", bundle.candidate.order)
     for cert in bundle.certificates:
         validate_certificate(cert)
         _check_candidate_link(cert, bundle.candidate)

@@ -11,11 +11,14 @@ Sequences are exchanged as b-files: '#' comment lines plus data lines
 shifted to the 1-based convention with a notice.  Rational coefficients on
 the command line use "p/q" with no whitespace, separated by commas.
 
-Exit status: 0 on success, 1 when a certificate fails validation, 2 on
-usage or data errors and on inputs past a resource cap (ResourceLimitError:
-a --ballot-cap above seqcore.BALLOT_CAP_MAX, or an order above
+Exit status: 0 on success, 1 when a certificate fails validation or a
+numeric binet power sum misses b_n by more than
+powersum.RECONSTRUCTION_TOLERANCE (relative), 2 on usage or data errors
+(a refute --max-order below the candidate's order, a binet value past the
+float range) and on inputs past a resource cap (ResourceLimitError: a
+--ballot-cap above seqcore.BALLOT_CAP_MAX, an order above
 certify.ORDER_CAP: a refute candidate's or --max-order, or any a document
-given to validate names).
+given to validate names, or a list in that document past certify.LIST_CAP).
 
 Start-up imports only what parsing and JSON output need (seqcore, errors,
 schema); each handler imports its own engines.  `catalan` loads nothing
@@ -271,6 +274,8 @@ def _cmd_refute(args) -> CommandResult:
 
     candidate = LinearRecurrence(parse_rational_list(args.coefficients))
     bound = candidate.order if args.max_order is None else args.max_order
+    if bound < candidate.order:  # a Hankel certificate must cover the candidate's order
+        raise ValueError(f"--max-order {bound} is below the candidate's order {candidate.order}")
     engines = {
         "all": lambda: certify.refute_all(candidate, bound).certificates,
         "parity": lambda: (certify.refute_by_parity(candidate),),
@@ -323,6 +328,8 @@ def _root_display(root) -> str:
 
 
 def _cmd_binet(args) -> CommandResult:
+    import cmath
+
     from . import powersum, recurrence
 
     if args.terms < 0:
@@ -363,25 +370,34 @@ def _cmd_binet(args) -> CommandResult:
         payload["dominant"] = {"s": dp.degree, "alpha": f"{dp.alpha:.10f}", "l": dp.l}
     check_to = max(args.terms, candidate.order)
     expected = recurrence.iterate_recurrence(candidate, initial, check_to)
-    worst = 0.0
-    exact_ok = True
+    worst, ok = 0.0, True
     for n in range(ps.valid_from, check_to + 1):
-        value = powersum.evaluate_powersum(ps, n)
         target = expected[n - 1]
         if ps.is_exact:
-            exact_ok = exact_ok and value == target
-        else:
-            worst = max(worst, abs(complex(value) - complex(target)))
+            ok = ok and powersum.evaluate_powersum(ps, n) == target
+            continue
+        try:
+            value, target = complex(powersum.evaluate_powersum(ps, n)), complex(target)
+            finite = cmath.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"b_{n} is past the float range; rerun with --terms below {n}")
+        worst = max(worst, abs(value - target) / max(1.0, abs(target)))
     if ps.is_exact:
-        verdict = "exact" if exact_ok else "FAILED"
+        verdict = "exact" if ok else "FAILED"
         lines.append(f"reconstruction over n = {ps.valid_from}..{check_to}: {verdict}")
         payload["reconstruction"] = verdict
     else:
+        ok = worst <= powersum.RECONSTRUCTION_TOLERANCE
         lines.append(
             f"reconstruction over n = {ps.valid_from}..{check_to}: "
-            f"max error {worst:.3e}"
+            f"max relative error {worst:.3e}"
+            + ("" if ok else f", above {powersum.RECONSTRUCTION_TOLERANCE:g}")
         )
         payload["reconstruction"] = f"{worst:.3e}"
+    if not ok:
+        return CommandResult(_wrap("binet", "error", payload), lines, exit_code=1)
     return CommandResult(_wrap("binet", "ok", payload), lines)
 
 
@@ -546,7 +562,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.handler(args)
-    except (CFiniteError, ValueError, OSError) as exc:
+    except (CFiniteError, ValueError, OSError, OverflowError) as exc:
         if getattr(args, "json", False):
             doc = _wrap(args.command, "error", {"message": str(exc)})
             print(canonical_json(doc))

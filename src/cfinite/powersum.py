@@ -2,10 +2,10 @@
 
 A power sum writes b_n = sum_j p_j(n) * alpha_j**n over distinct nonzero
 roots alpha_j with nonzero polynomials p_j.  Roots are kept exact
-(Fraction) whenever the rational-root stage finds them, and polished
-complex floats otherwise; the empty power sum evaluates to 0.  Root
-multiplicities, and so the degrees of the p_j, come from an exact
-squarefree decomposition, never from how close two floats lie.
+(Fraction) whenever the rational-root stage finds them, and are complex
+floats from an Aberth-Ehrlich iteration otherwise; the empty power sum
+evaluates to 0.  Root multiplicities, and so the degrees of the p_j, come
+from an exact squarefree decomposition, never from how close floats lie.
 
 Also here: the dominant part (s, alpha, unit-circle terms) of a power sum,
 the Vandermonde distance product, and the window lower bound
@@ -13,13 +13,14 @@ max_i |v(n+i)| >= prod|beta_v - beta_u| * max|gamma_j| / l!  obtained from
 Cramer's rule, which is the computable content of the no-dominant-root
 asymptotic argument.
 
-This is the numeric and Binet tier; only `binet_form` and the asymptotic
-checks need it.  The exact polynomial arithmetic it builds on
-(`Polynomial`, `poly_gcd`, `linear_factor_product`) lives in `gfseries`,
-so certificates and series never load this module; `Polynomial` and
-`poly_gcd` stay importable from here as the same objects.
+This is the numeric and Binet tier, on the standard library alone; only
+`binet_form` and the asymptotic checks need it.  The exact polynomial
+arithmetic it builds on (`Polynomial`, `poly_gcd`, `linear_factor_product`)
+lives in `gfseries`, so certificates and series never load this module;
+`Polynomial` and `poly_gcd` stay importable from here as the same objects.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,7 @@ from .seqcore import catalan_closed
 
 
 ROOT_TOLERANCE = 1e-12  # numeric root residual bound, relative to the coefficient scale
+RECONSTRUCTION_TOLERANCE = 1e-6  # numeric power sums match b_n to this relative error
 TIE_TOLERANCE = 1e-9  # relative modulus gap below which two roots tie for dominance
 BETA_GAP_TOLERANCE = 1e-9  # unit-circle roots closer than this count as coincident
 
@@ -57,16 +59,35 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
-def _newton_polish(poly: Polynomial, deriv: Polynomial, z: complex):
-    for _ in range(80):
-        dz = deriv(z)
-        if dz == 0:
-            return z
-        step = poly(z) / dz
-        z = z - step
-        if abs(step) <= ROOT_TOLERANCE * max(1.0, abs(z)):
-            return z
-    return z
+def _aberth_roots(f: Polynomial) -> list:
+    """Roots of f (squarefree, complex coefficients, f(0) != 0) by the
+    Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973; Bini, Numer.
+    Algorithms 13, 1996): from one circle of start points per Newton polygon
+    edge, each root z takes f(z) / (f'(z) - f(z) sum_j 1/(z - z_j)), Newton's
+    step corrected by the others, until none moves by more than
+    ROOT_TOLERANCE relative.  It converges cubically, so its last steps polish."""
+    d, deriv = f.degree, f.derivative()
+    hull = []  # Newton polygon: upper hull of the points (i, log|a_i|); Im(conj(u) v) = u x v
+    for point in [complex(i, math.log(abs(c))) for i, c in enumerate(f.coeffs) if c]:
+        while len(hull) > 1 and ((hull[-1] - hull[-2]).conjugate() * (point - hull[-2])).imag >= 0:
+            hull.pop()
+        hull.append(point)
+    zs = []
+    for a, b in zip(hull, hull[1:]):
+        m = round(b.real - a.real)  # this edge stands for m roots of modulus about `radius`
+        radius = math.exp((a.imag - b.imag) / m)
+        zs += [radius * cmath.exp(2j * math.pi * (k / m + a.real / d) + 0.4j) for k in range(m)]
+    for _ in range(100):  # well-conditioned factors of degree 64 take about 15 sweeps
+        moved = False
+        for i, z in enumerate(zs):
+            value = f(z)
+            denominator = deriv(z) - value * sum(1 / (z - w) for w in zs if w != z)
+            step = value / denominator if denominator else 0j
+            zs[i] = z - step
+            moved = moved or abs(step) > ROOT_TOLERANCE * abs(zs[i])
+        if not moved:
+            break
+    return zs
 
 
 def _squarefree_factors(p: Polynomial):
@@ -98,12 +119,11 @@ def polynomial_roots(p: Polynomial):
     rest (over the exact poly_gcd) then fixes every multiplicity: each root
     of the factor f in p = c * prod f**m has multiplicity exactly m.  The
     rational-root test finds a factor's rational roots, which exact
-    division removes; the roots left come from the companion matrix and
-    are all simple, so plain Newton steps polish them.  Exact roots come
-    first, sorted; then the complex floats, sorted by (real, imag).
-    Raises ValueError for the zero polynomial or inexact coefficients, and
-    RootFindingError when a numeric root's residual stays above
-    ROOT_TOLERANCE * coefficient scale.
+    division removes; the simple roots left come from an Aberth-Ehrlich
+    iteration.  Exact roots come first, sorted; then the complex floats,
+    sorted by (real, imag).  Raises ValueError for the zero polynomial or
+    inexact coefficients, and RootFindingError when a numeric root's
+    residual stays above ROOT_TOLERANCE * coefficient scale.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every number as a root")
@@ -122,18 +142,14 @@ def polynomial_roots(p: Polynomial):
                     exact.append((cand, m))
         if f.degree < 1:
             continue
-        import numpy as np  # imported on first use: only this numeric tier needs numpy
-
-        coeffs = [complex(c) for c in f.coeffs]
-        deriv = f.derivative()
-        cscale = max(abs(c) for c in coeffs)
-        for z in np.roots(coeffs[::-1]):
-            z = _newton_polish(f, deriv, complex(z))
+        f = Polynomial(tuple(complex(c) for c in f.coeffs))
+        cscale = max(abs(c) for c in f.coeffs)
+        for z in _aberth_roots(f):
             if abs(z.imag) <= 1e-10 * max(1.0, abs(z.real)):
                 z = complex(z.real, 0.0)
             residual = abs(f(z))
             bound = ROOT_TOLERANCE * cscale * max(1.0, abs(z)) ** f.degree
-            if residual > bound:
+            if not residual <= bound:  # a NaN residual fails too
                 raise RootFindingError(
                     f"root {z}: residual {residual:.3e} above tolerance scale {bound:.3e}"
                 )
@@ -186,6 +202,23 @@ def evaluate_powersum(ps: PowerSum, n: int):
     return total
 
 
+def _complex_solve(rows, rhs) -> list:
+    """x with rows x = rhs, by Gaussian elimination pivoting on largest moduli."""
+    n, a = len(rows), [list(row) + [b] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        top = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[top][col] == 0:
+            raise SingularSystemError(f"numeric Vandermonde system is singular at column {col}")
+        a[col], a[top] = a[top], a[col]
+        for row in a[col + 1 :]:
+            factor = row[col] / a[col][col]
+            row[col:] = [x - factor * y for x, y in zip(row[col:], a[col][col:])]
+    x = [0j] * n
+    for i in reversed(range(n)):
+        x[i] = (a[i][n] - sum(a[i][j] * x[j] for j in range(i + 1, n))) / a[i][i]
+    return x
+
+
 def binet_form(rec: LinearRecurrence, initial_terms) -> PowerSum:
     """Power sum matching the recurrence with the given k initial terms.
 
@@ -217,27 +250,12 @@ def binet_form(rec: LinearRecurrence, initial_terms) -> PowerSum:
     columns = [(j, t) for j, (_, m) in enumerate(nonzero) for t in range(m)]
     column_of = {jt: i for i, jt in enumerate(columns)}
     samples = range(start, start + unknowns)
-    if exact:
-        rows = [
-            [Fraction(n) ** t * Fraction(nonzero[j][0]) ** n for j, t in columns]
-            for n in samples
-        ]
-        rhs = [Fraction(initial[n - 1]) for n in samples]
-        solution = linalg.solve(rows, rhs)
-        if solution is None:
-            raise SingularSystemError("confluent Vandermonde system is inconsistent")
-    else:
-        import numpy as np
-
-        mat = np.array(
-            [[complex(n) ** t * complex(nonzero[j][0]) ** n for j, t in columns] for n in samples],
-            dtype=complex,
-        )
-        rhs_np = np.array([complex(initial[n - 1]) for n in samples], dtype=complex)
-        try:
-            solution = tuple(np.linalg.solve(mat, rhs_np))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"numeric Vandermonde solve failed: {exc}") from exc
+    number = Fraction if exact else complex
+    rows = [[number(n) ** t * number(nonzero[j][0]) ** n for j, t in columns] for n in samples]
+    rhs = [number(initial[n - 1]) for n in samples]
+    solution = linalg.solve(rows, rhs) if exact else _complex_solve(rows, rhs)
+    if solution is None:
+        raise SingularSystemError("confluent Vandermonde system is inconsistent")
     pairs = []
     for j, (root, mult) in enumerate(nonzero):
         coeffs = [solution[column_of[j, t]] for t in range(mult)]
@@ -246,14 +264,11 @@ def binet_form(rec: LinearRecurrence, initial_terms) -> PowerSum:
             continue  # this root contributes nothing for these initial terms
         pairs.append((poly, root))
     ps = PowerSum(tuple(pairs), valid_from=start)
+    tolerance = 0 if exact else RECONSTRUCTION_TOLERANCE  # exact sums must match exactly
     for n in range(start, rec.order + 1):
-        value = evaluate_powersum(ps, n)
-        target = initial[n - 1]
-        if exact:
-            if value != target:
-                raise SingularSystemError(f"exact reconstruction failed at n={n}")
-        elif abs(complex(value) - complex(target)) > 1e-6 * max(1.0, abs(complex(target))):
-            raise SingularSystemError(f"numeric reconstruction failed at n={n}")
+        value, target = evaluate_powersum(ps, n), number(initial[n - 1])
+        if not abs(value - target) <= tolerance * max(1, abs(target)):  # NaN fails too
+            raise SingularSystemError(f"reconstruction failed at n={n}")
     return ps
 
 

@@ -24,6 +24,7 @@ from cfinite.certify import (
     certificate_to_fields,
     GfMismatchCertificate,
     HankelCertificate,
+    LIST_CAP,
     ORDER_CAP,
     parse_bundle,
     ParityCertificate,
@@ -851,6 +852,16 @@ class TestRefuteAll:
             poly = bundle.certificates[1]
             assert poly.residual == candidate_residual(coeffs, poly.witness_index)
 
+    def test_hankel_bound_below_the_order_refused(self):
+        # it wrote a document its own validator refuses ("below candidate order")
+        fibonacci = LinearRecurrence((1, 1))
+        for bound in (0, 1):
+            message = f"hankel bound {bound} is below the candidate's order 2"
+            with pytest.raises(ValueError, match=message):
+                refute_all(fibonacci, hankel_bound=bound)
+        bundle = refute_all(fibonacci, hankel_bound=2)
+        assert validate_serialized(serialize_bundle(bundle)) == bundle
+
 
 class TestOrderCap:
     @pytest.mark.parametrize("name", sorted(PAST_CAP_DOCUMENTS))
@@ -895,6 +906,44 @@ class TestOrderCap:
         assert peak < 5 * 2**20
         with pytest.raises(ResourceLimitError, match=f"parity vector order {k} is past the cap"):
             validate_certificate(cert)
+
+    def test_overlong_lists_refused_before_any_field_is_read(self, monkeypatch):
+        # 0.8 MB each: the k = 100,000 parity document once took 0.77 s to refuse
+        k = 100_000
+        past_order = serialize_bundle(
+            RefutationBundle(LinearRecurrence((1,) * k), (_parity_of((1,) * k + (-1,)),))
+        )
+        long_table = _forge_kind(TIMES_FOUR, "parity", parity_table=[0] * k)
+        reads = []
+        read = certify_module.document_to_bundle
+        monkeypatch.setattr(
+            certify_module, "document_to_bundle", lambda doc: reads.append(doc) or read(doc)
+        )
+        for text, message in (
+            (past_order, f"candidate order {k} is past the cap of {ORDER_CAP}"),
+            (long_table, f"a list of {k} entries is past the cap of {LIST_CAP}"),
+        ):
+            seconds = []
+            for _ in range(3):
+                start = time.perf_counter()
+                with pytest.raises(ResourceLimitError, match=message):
+                    validate_serialized(text)
+                seconds.append(time.perf_counter() - start)
+            assert min(seconds) < 0.1
+        assert reads == []
+
+    def test_list_cap_is_the_polynomial_length_at_the_order_cap(self):
+        # p of an order-k polynomial certificate has 3k + 1 coefficients
+        assert LIST_CAP == 3 * ORDER_CAP + 1
+        assert len(refute_by_polynomial(LinearRecurrence((1,) * 5)).polynomial.coeffs) == 16
+        at_cap = _forge_kind(TIMES_FOUR, "polynomial", polynomial=["1"] * LIST_CAP)
+        with pytest.raises(CertificateError):  # refused on its merits, not its length
+            validate_serialized(at_cap)
+        past_cap = _forge_kind(TIMES_FOUR, "polynomial", polynomial=["1"] * (LIST_CAP + 1))
+        with pytest.raises(ResourceLimitError, match=f"a list of {LIST_CAP + 1} entries"):
+            validate_serialized(past_cap)
+        bundle = refute_all(TIMES_FOUR, hankel_bound=ORDER_CAP)
+        assert validate_serialized(serialize_bundle(bundle)) == bundle
 
     def test_parity_residual_written_at_the_cap(self):
         # the window of order ORDER_CAP ends at C_5120, past the old residual cap C_5000

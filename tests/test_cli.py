@@ -307,6 +307,17 @@ class TestRefuteCommand:
         code, _, err = run(capsys, "refute", coefficients, "--method", "parity")
         assert code == 2 and "sys.get_int_max_str_digits()" in err
 
+    @pytest.mark.parametrize("method", ["all", "hankel"])
+    def test_max_order_below_the_candidate_order_is_an_error(self, capsys, method):
+        # it exited 1: the Hankel certificate written did not cover order 2
+        argv = ("refute", "1,1", "--max-order", "1", "--method", method)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "--max-order 1 is below the candidate's order 2" in err
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 2
+        assert json.loads(out)["status"] == "error"
+
     def test_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "refute", "4", "--json")
         _, out2, _ = run(capsys, "refute", "4", "--json")
@@ -441,6 +452,44 @@ class TestBinetCommand:
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 2
         assert json.loads(out)["status"] == "error"
+
+
+    def test_reconstruction_error_is_relative(self, capsys):
+        # b_n = 10^(13 n) takes the numeric tier; the absolute error read 6.828e+244
+        code, out, _ = run(capsys, "binet", "10000000000000", "--initial", "10000000000000", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "ok" and float(doc["payload"]["reconstruction"]) < 1e-12
+        code, out, _ = run(capsys, "binet", "1,1", "--initial", "1,1")
+        assert "reconstruction over n = 1..20: max relative error " in out
+
+    def test_reconstruction_past_the_tolerance_exits_1(self, capsys, monkeypatch):
+        from cfinite import powersum
+
+        evaluate = powersum.evaluate_powersum
+        # binet_form's own check covers n <= 2; spoil every later value by 1e-3
+        monkeypatch.setattr(
+            powersum, "evaluate_powersum", lambda ps, n: evaluate(ps, n) * (1.001 if n > 2 else 1)
+        )
+        code, out, _ = run(capsys, "binet", "1,1", "--initial", "1,1")
+        assert code == 1
+        assert f"max relative error 1.000e-03, above {powersum.RECONSTRUCTION_TOLERANCE:g}" in out
+        code, out, _ = run(capsys, "binet", "1,1", "--initial", "1,1", "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "error" and doc["payload"]["reconstruction"] == "1.000e-03"
+
+    def test_values_past_the_float_range_are_an_error(self, capsys):
+        # phi^1475 is past the largest float: it ended in an OverflowError traceback
+        argv = ("binet", "1,1", "--initial", "1,1", "--terms", "1600")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "b_1475 is past the float range; rerun with --terms below 1475" in err
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 2 and json.loads(out)["status"] == "error"
+        # a coefficient past the float range stops the numeric root tier itself
+        code, _, err = run(capsys, "binet", "1" + "0" * 400, "--initial", "1")
+        assert code == 2 and err.startswith("error: ")
 
 
 class TestGfCommand:

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from cfinite.errors import RootFindingError, SingularSystemError
 from cfinite.powersum import (
+    _complex_solve,
     binet_form,
     catalan_asymptotic_constant,
     characteristic_polynomial,
@@ -168,6 +170,49 @@ class TestPolynomialRoots:
                 assert abs(factor(z)) <= 1e-6 * max(1.0, abs(z)) ** factor.degree
 
 
+    def test_squarefree_factor_sweep(self):
+        # random squarefree factors of degree 2..64; polynomial_roots itself
+        # raises when a root misses the residual bound
+        rng = random.Random(22)
+        factors = 0
+        while factors < 300:
+            d = rng.randint(2, 64)
+            top = rng.choice((9, 1000))  # 1000: roots of widely spread moduli
+            middle = [rng.randint(-top, top) for _ in range(d - 1)]
+            p = Polynomial([rng.randint(-9, 9)] + middle + [1])
+            if p.coefficient(0) == 0:
+                continue
+            found = polynomial_roots(p)
+            if any(m > 1 for _, m in found):
+                continue  # not squarefree
+            factors += 1
+            roots = [complex(r) for r, _ in found]
+            assert len(roots) == d
+            floats = Polynomial([complex(c) for c in p.coeffs])
+            scale = max(abs(c) for c in floats.coeffs)
+            for z in roots:
+                assert abs(floats(z)) <= 1e-12 * scale * max(1.0, abs(z)) ** d
+            total, product = sum(roots), math.prod(roots)
+            expected_total = -complex(Fraction(p.coefficient(d - 1), p.leading))
+            expected_product = complex(Fraction((-1) ** d * p.coefficient(0), p.leading))
+            assert abs(total - expected_total) <= 1e-9 * max(1.0, sum(abs(z) for z in roots))
+            assert abs(product - expected_product) <= 1e-9 * abs(expected_product)
+
+    def test_roots_past_the_float_range_raise(self):
+        # f(z) overflows near the root 10^200, and every iterate became NaN
+        with pytest.raises(RootFindingError, match="residual nan"):
+            polynomial_roots(Polynomial((-1, -(10**200), 1)))
+
+    def test_tiny_roots_keep_their_relative_accuracy(self):
+        # a step bound absolute below 1 would stop at the starting circle here
+        for p, modulus in (
+            (Polynomial((Fraction(-2, 10**30), 0, 1)), math.sqrt(2) * 1e-15),
+            (Polynomial((Fraction(-5, 10**24), 0, 0, 1)), 5 ** (1 / 3) * 1e-8),
+        ):
+            for r, m in polynomial_roots(p):
+                assert m == 1 and abs(abs(complex(r)) - modulus) <= 1e-12 * modulus
+
+
 class TestBinetForm:
     def test_fibonacci_known_binet(self):
         ps = binet_form(LinearRecurrence((1, 1)), (1, 1))
@@ -250,6 +295,32 @@ class TestBinetForm:
         expected = iterate_recurrence(rec, (1, 1), 12)
         for n in range(1, 13):
             assert evaluate_powersum(ps, n) == expected[n - 1]
+
+    def test_random_recurrences_reconstruct(self):
+        rng = random.Random(40)
+        for _ in range(40):
+            k = rng.randint(1, 40)
+            coefficients = [rng.randint(-9, 9) for _ in range(k)]
+            coefficients[0] = coefficients[0] or 1
+            rec = LinearRecurrence(tuple(coefficients))
+            initial = tuple(rng.randint(-9, 9) for _ in range(k))
+            ps = binet_form(rec, initial)
+            expected = iterate_recurrence(rec, initial, 2 * k)
+            for n in range(1, 2 * k + 1):
+                error = abs(complex(evaluate_powersum(ps, n)) - expected[n - 1])
+                assert error <= 1e-6 * max(1, abs(expected[n - 1]))
+
+    def test_overflowing_vandermonde_entries_raise(self):
+        # the double root 1.3e154: 2 * root^2 overflows to inf, and the solve
+        # gave a power sum of NaN coefficients that passed the check
+        r = 13 * 10**153
+        with pytest.raises(SingularSystemError, match="reconstruction failed at n=1"):
+            binet_form(LinearRecurrence((-r * r, 2 * r)), (1, 1))
+
+    def test_singular_numeric_system_raises(self):
+        assert _complex_solve([[2, 1], [1, 3]], [3, 4]) == pytest.approx([1, 1])
+        with pytest.raises(SingularSystemError, match="singular at column 1"):
+            _complex_solve([[1, 2], [2, 4]], [1, 2])
 
     def test_initial_count_checked(self):
         with pytest.raises(ValueError):

@@ -37,21 +37,50 @@ def _child(*args):
     )
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy serves only the numeric root tier
+def test_numpy_is_never_loaded():
+    # the numeric root tier runs on the standard library alone
     script = """
 import sys
 import cfinite.cli
-assert "numpy" not in sys.modules, "importing cfinite.cli loaded numpy"
 from cfinite.gfseries import catalan_gf
-from cfinite.powersum import Polynomial, polynomial_roots
+from cfinite.powersum import binet_form, Polynomial, polynomial_roots
+from cfinite.recurrence import LinearRecurrence
 from cfinite.seqcore import catalan_ballot
 assert catalan_ballot(13) == 208012
 assert catalan_gf(500).coefficient(13) == 208012
-assert "numpy" not in sys.modules, "a Catalan generator loaded numpy"
 roots = polynomial_roots(Polynomial((-2, 0, 1)))
 assert sorted(round(z.real, 9) for z, _ in roots) == [-1.414213562, 1.414213562]
-assert "numpy" in sys.modules
+binet_form(LinearRecurrence((1, 1, 1)), (1, 1, 2))
+assert "numpy" not in sys.modules, "the numeric root tier loaded numpy"
+"""
+    done = _child("-c", script)
+    assert done.returncode == 0, done.stderr
+
+
+def test_binet_runs_with_numpy_unimportable():
+    script = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from cfinite import cli
+from cfinite.powersum import binet_form, evaluate_powersum
+from cfinite.recurrence import iterate_recurrence, LinearRecurrence
+cases = [
+    ((1, 1), (1, 1)),  # Fibonacci
+    ((1, 1, 1), (1, 1, 2)),  # tribonacci: a real root and a complex pair
+    ((-1, 1), (1, 0)),  # x^2 - x + 1: the complex pair exp(+-i pi/3)
+    ((-1, -2, 1, 2), (1, 2, 6, 12)),  # n F_n: repeated irrational roots
+]
+for coefficients, initial in cases:
+    rec = LinearRecurrence(coefficients)
+    ps = binet_form(rec, initial)
+    for n, target in enumerate(iterate_recurrence(rec, initial, 40), start=1):
+        error = abs(complex(evaluate_powersum(ps, n)) - target)
+        assert error <= 1e-9 * max(1, abs(target)), (coefficients, n, error)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["binet", "--initial", ",".join(map(str, initial)), "--json", "--",
+                         ",".join(map(str, coefficients))])
+    assert code == 0 and json.loads(out.getvalue())["status"] == "ok", out.getvalue()
 """
     done = _child("-c", script)
     assert done.returncode == 0, done.stderr
