@@ -23,6 +23,7 @@ lives in `gfseries`, so certificates and series never load this module;
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, InvalidOperation, localcontext, MAX_EMAX, MIN_EMIN
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,10 +35,11 @@ from .recurrence import LinearRecurrence
 from .seqcore import catalan_closed
 
 
-ROOT_TOLERANCE = 1e-12  # numeric root residual bound, relative to the coefficient scale
+ROOT_TOLERANCE = 1e-12  # numeric roots settle when no step moves one by more than this, relative
 RECONSTRUCTION_TOLERANCE = 1e-6  # numeric power sums match b_n to this relative error
 TIE_TOLERANCE = 1e-9  # relative modulus gap below which two roots tie for dominance
 BETA_GAP_TOLERANCE = 1e-9  # unit-circle roots closer than this count as coincident
+_WIDE = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)  # no overflow or underflow in reach
 
 
 def characteristic_polynomial(rec: LinearRecurrence) -> Polynomial:
@@ -59,16 +61,38 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
+def _log_derivative(coeffs, z: complex) -> complex:
+    """f'(z) / f(z) for f = sum_i coeffs[i] x**i, with Decimal coefficients.
+
+    The Horner sums run to 50 significant digits (a float holds about 16),
+    so the ratio stays accurate where float values of f are rounding noise,
+    as they are near a cluster of near-equal roots.
+    """
+    with localcontext(_WIDE):
+        x, y = Decimal(z.real), Decimal(z.imag)
+        pr = pi = qr = qi = Decimal(0)
+        for c in reversed(coeffs):
+            qr, qi = qr * x - qi * y + pr, qr * y + qi * x + pi
+            pr, pi = pr * x - pi * y + c, pr * y + pi * x
+        norm = pr * pr + pi * pi
+        return complex(float((qr * pr + qi * pi) / norm), float((qi * pr - qr * pi) / norm))
+
+
 def _aberth_roots(f: Polynomial) -> list:
-    """Roots of f (squarefree, complex coefficients, f(0) != 0) by the
-    Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973; Bini, Numer.
-    Algorithms 13, 1996): from one circle of start points per Newton polygon
-    edge, each root z takes f(z) / (f'(z) - f(z) sum_j 1/(z - z_j)), Newton's
-    step corrected by the others, until none moves by more than
-    ROOT_TOLERANCE relative.  It converges cubically, so its last steps polish."""
-    d, deriv = f.degree, f.derivative()
+    """Roots of f (exact, squarefree, f(0) != 0) by the Aberth-Ehrlich
+    iteration (Aberth, Math. Comp. 27, 1973; Bini, Numer. Algorithms 13,
+    1996): from one circle of start points per Newton polygon edge, each root
+    z takes 1 / (f'(z)/f(z) - sum_j 1/(z - z_j)), Newton's step corrected by
+    the others, until none moves by more than ROOT_TOLERANCE relative.  The
+    sweeps run on float values of f, then on 50-digit ones, which keep
+    near-equal roots apart where float rounding blurs them; convergence is
+    cubic, so the last sweeps polish."""
+    ints, _ = linalg.clear_denominators(f.coeffs)
+    wide = [Decimal(c) for c in ints]
+    floats = Polynomial(tuple(complex(c) for c in f.coeffs))
+    deriv = floats.derivative()
     hull = []  # Newton polygon: upper hull of the points (i, log|a_i|); Im(conj(u) v) = u x v
-    for point in [complex(i, math.log(abs(c))) for i, c in enumerate(f.coeffs) if c]:
+    for point in [complex(i, math.log(abs(c))) for i, c in enumerate(ints) if c]:
         while len(hull) > 1 and ((hull[-1] - hull[-2]).conjugate() * (point - hull[-2])).imag >= 0:
             hull.pop()
         hull.append(point)
@@ -76,17 +100,27 @@ def _aberth_roots(f: Polynomial) -> list:
     for a, b in zip(hull, hull[1:]):
         m = round(b.real - a.real)  # this edge stands for m roots of modulus about `radius`
         radius = math.exp((a.imag - b.imag) / m)
-        zs += [radius * cmath.exp(2j * math.pi * (k / m + a.real / d) + 0.4j) for k in range(m)]
-    for _ in range(100):  # well-conditioned factors of degree 64 take about 15 sweeps
-        moved = False
-        for i, z in enumerate(zs):
-            value = f(z)
-            denominator = deriv(z) - value * sum(1 / (z - w) for w in zs if w != z)
-            step = value / denominator if denominator else 0j
-            zs[i] = z - step
-            moved = moved or abs(step) > ROOT_TOLERANCE * abs(zs[i])
-        if not moved:
-            break
+        zs += [radius * cmath.exp(2j * math.pi * (k / m + a.real / f.degree) + 0.4j) for k in range(m)]
+    for log_derivative in (lambda z: deriv(z) / floats(z), lambda z: _log_derivative(wide, z)):
+        # float rounding can leave a near-equal pair on a line that wide
+        # sweeps never leave (Re z = c when f is even about c): start off it
+        zs = [z * (1 + 1e-6 + 1e-6j) for z in zs]
+        for _ in range(100):  # well-conditioned degree-64 factors take about 15 float sweeps
+            moved = False
+            for i, z in enumerate(zs):
+                try:
+                    step = 1 / (log_derivative(z) - sum(1 / (z - w) for j, w in enumerate(zs) if j != i))
+                except (ZeroDivisionError, InvalidOperation):  # Decimal 0/0 is InvalidOperation
+                    continue  # z is a root, or meets another iterate
+                if cmath.isfinite(z - step):
+                    zs[i] = z - step
+                    moved = moved or abs(step) > ROOT_TOLERANCE * abs(zs[i])
+            if not moved:
+                break
+    if moved:
+        raise RootFindingError(
+            f"the roots of a degree-{f.degree} factor did not settle in 100 wide sweeps"
+        )
     return zs
 
 
@@ -122,8 +156,8 @@ def polynomial_roots(p: Polynomial):
     division removes; the simple roots left come from an Aberth-Ehrlich
     iteration.  Exact roots come first, sorted; then the complex floats,
     sorted by (real, imag).  Raises ValueError for the zero polynomial or
-    inexact coefficients, and RootFindingError when a numeric root's
-    residual stays above ROOT_TOLERANCE * coefficient scale.
+    inexact coefficients, and RootFindingError when the iteration does not
+    settle or a factor's roots are not distinct.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every number as a root")
@@ -142,18 +176,11 @@ def polynomial_roots(p: Polynomial):
                     exact.append((cand, m))
         if f.degree < 1:
             continue
-        f = Polynomial(tuple(complex(c) for c in f.coeffs))
-        cscale = max(abs(c) for c in f.coeffs)
-        for z in _aberth_roots(f):
-            if abs(z.imag) <= 1e-10 * max(1.0, abs(z.real)):
-                z = complex(z.real, 0.0)
-            residual = abs(f(z))
-            bound = ROOT_TOLERANCE * cscale * max(1.0, abs(z)) ** f.degree
-            if not residual <= bound:  # a NaN residual fails too
-                raise RootFindingError(
-                    f"root {z}: residual {residual:.3e} above tolerance scale {bound:.3e}"
-                )
-            numeric.append((z, m))
+        roots = _aberth_roots(f)
+        roots = [complex(z.real) if abs(z.imag) <= 1e-10 * abs(z) else z for z in roots]
+        if len(set(roots)) != f.degree:  # f is squarefree: its roots are distinct
+            raise RootFindingError(f"{len(set(roots))} distinct roots for a factor of degree {f.degree}")
+        numeric += [(z, m) for z in roots]
     exact.sort(key=lambda rm: rm[0])
     numeric.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return exact + numeric

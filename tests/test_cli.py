@@ -463,6 +463,16 @@ class TestBinetCommand:
         code, out, _ = run(capsys, "binet", "1,1", "--initial", "1,1")
         assert "reconstruction over n = 1..20: max relative error " in out
 
+    def test_near_equal_roots_reconstruct_far_out(self, capsys):
+        # roots 1 +- 10^-8: root finding on float values of f put them at
+        # 1 +- 1.12e-8, or left a relative error of 9.3e-7 over n <= 1000
+        coefficients = "-9999999999999999/10000000000000000,2"
+        argv = ("binet", "--initial", "1,2", "--terms", "1000", "--json", "--", coefficients)
+        code, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 0 and doc["status"] == "ok"
+        assert float(doc["payload"]["reconstruction"]) < 1e-8
+
     def test_reconstruction_past_the_tolerance_exits_1(self, capsys, monkeypatch):
         from cfinite import powersum
 

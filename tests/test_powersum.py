@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfinite import powersum
 from cfinite.errors import RootFindingError, SingularSystemError
 from cfinite.powersum import (
     _complex_solve,
@@ -172,7 +173,7 @@ class TestPolynomialRoots:
 
     def test_squarefree_factor_sweep(self):
         # random squarefree factors of degree 2..64; polynomial_roots itself
-        # raises when a root misses the residual bound
+        # raises when the iteration does not settle
         rng = random.Random(22)
         factors = 0
         while factors < 300:
@@ -198,15 +199,59 @@ class TestPolynomialRoots:
             assert abs(total - expected_total) <= 1e-9 * max(1.0, sum(abs(z) for z in roots))
             assert abs(product - expected_product) <= 1e-9 * abs(expected_product)
 
-    def test_roots_past_the_float_range_raise(self):
-        # f(z) overflows near the root 10^200, and every iterate became NaN
-        with pytest.raises(RootFindingError, match="residual nan"):
-            polynomial_roots(Polynomial((-1, -(10**200), 1)))
+    @pytest.mark.parametrize("c", [Fraction(1), Fraction(3, 2), Fraction(-7, 5)])
+    @pytest.mark.parametrize("eps", [Fraction(1, 10**7), Fraction(1, 10**8), Fraction(1, 10**10)])
+    def test_near_equal_roots_are_resolved(self, c, eps):
+        # (x - c)^2 - 2 eps^2: on float values of f the pair blurs into noise
+        # of about 1e-16 / eps, and the roots came out up to 1e-8 off
+        p = Polynomial((c * c - 2 * eps * eps, -2 * c, 1))
+        roots = [complex(r) for r, _ in polynomial_roots(p)]
+        expected = [float(c) - float(eps) * math.sqrt(2), float(c) + float(eps) * math.sqrt(2)]
+        assert roots == pytest.approx(expected, rel=1e-15, abs=0)
+
+    def test_clustered_quadratic_products_match_the_quadratic_formula(self):
+        # x^2 + b x + a for small a, b give many roots closer than float
+        # values of the degree-40 product can tell apart: float roots of this
+        # one were up to 3e-6 off
+        rng = random.Random(24)
+        quadratics = set()
+        while len(quadratics) < 20:
+            quadratics.add((rng.randint(-30, 30), rng.randint(-12, 12)))
+        p, expected = Polynomial((1,)), []
+        for a, b in quadratics:
+            p = p * Polynomial((a, b, 1))
+            disc = cmath.sqrt(b * b - 4 * a)
+            r = (-b - disc) / 2 if b >= 0 else (-b + disc) / 2  # no cancellation
+            expected += [r, a / r] if a else [r, 0j]
+        assert poly_gcd(p, p.derivative()).degree == 0
+        for r, _ in polynomial_roots(p):
+            z = complex(r)
+            assert min(abs(z - e) for e in expected) <= 1e-14 * abs(z)
+
+    def test_roots_at_the_edges_of_the_float_range(self):
+        # the constant term 10^-400 underflowed to 0 and left the Newton polygon
+        roots = polynomial_roots(Polynomial((Fraction(-1, 10**400), 0, 1)))
+        assert [complex(r) for r, _ in roots] == [-1e-200, 1e-200]
+        # roots +-10^-400 underflow to 0: the two iterates meet
+        with pytest.raises(RootFindingError, match="1 distinct roots for a factor of degree 2"):
+            polynomial_roots(Polynomial((Fraction(-1, 10**800), 0, 1)))
+        # float values of f overflow near the root 10^200
+        roots = polynomial_roots(Polynomial((-1, -(10**200), 1)))
+        assert [complex(r) for r, _ in roots] == [-1e-200, 1e200]
+
+    def test_unsettled_iteration_raises(self, monkeypatch):
+        # with no tolerance, last-bit steps never stop
+        monkeypatch.setattr(powersum, "ROOT_TOLERANCE", 0.0)
+        with pytest.raises(RootFindingError, match="did not settle in 100 wide sweeps"):
+            polynomial_roots(Polynomial((-2, 0, 1)))
 
     def test_tiny_roots_keep_their_relative_accuracy(self):
-        # a step bound absolute below 1 would stop at the starting circle here
+        # a step bound absolute below 1 would stop at the starting circle
+        # here, and an imaginary part snapped to 0 below 1e-10 absolute made
+        # the roots of x^2 + 2e-30 two zeros
         for p, modulus in (
             (Polynomial((Fraction(-2, 10**30), 0, 1)), math.sqrt(2) * 1e-15),
+            (Polynomial((Fraction(2, 10**30), 0, 1)), math.sqrt(2) * 1e-15),
             (Polynomial((Fraction(-5, 10**24), 0, 0, 1)), 5 ** (1 / 3) * 1e-8),
         ):
             for r, m in polynomial_roots(p):
@@ -309,6 +354,17 @@ class TestBinetForm:
             for n in range(1, 2 * k + 1):
                 error = abs(complex(evaluate_powersum(ps, n)) - expected[n - 1])
                 assert error <= 1e-6 * max(1, abs(expected[n - 1]))
+
+    @pytest.mark.parametrize("c", [Fraction(1), Fraction(3, 2), Fraction(-7, 5)])
+    @pytest.mark.parametrize("eps", [Fraction(1, 10**6), Fraction(1, 10**7), Fraction(1, 10**8)])
+    def test_near_equal_roots_reconstruct(self, c, eps):
+        # roots c +- eps sqrt(2); float roots of the pair made errors up to 5e-7
+        rec = LinearRecurrence((2 * eps * eps - c * c, 2 * c))
+        ps = binet_form(rec, (1, 2))
+        expected = iterate_recurrence(rec, (1, 2), 300)
+        for n in range(1, 301):
+            error = abs(complex(evaluate_powersum(ps, n)) - complex(expected[n - 1]))
+            assert error <= 2e-8 * max(1, abs(expected[n - 1]))
 
     def test_overflowing_vandermonde_entries_raise(self):
         # the double root 1.3e154: 2 * root^2 overflows to inf, and the solve
