@@ -49,7 +49,7 @@ from .errors import CertificateError, ResourceLimitError
 from .gfseries import _expansion, linear_factor_product, Polynomial, rational_gf
 from .recurrence import LinearRecurrence, normalize_coprime
 from .schema import canonical_json as _canonical_json, SCHEMA_TAG
-from .seqcore import catalan_closed, catalan_is_odd
+from .seqcore import _term_ratio, catalan_closed, catalan_is_odd
 
 # At 1,024 every parity window ends by C_5120, about 3,100 digits.
 ORDER_CAP = 1024
@@ -130,16 +130,8 @@ def _candidate_rational(candidate: LinearRecurrence):
 
 def _catalan_table(start: int, count: int) -> list:
     """[C_start, ..., C_{start+count-1}]: C_start by the closed formula, the
-    rest by the term ratio C_{n+1} = C_n (4n-2)/(n+1), as catalan_holonomic."""
-    if count < 1:
-        return []
-    table = [catalan_closed(start)]
-    for n in range(start, start + count - 1):
-        quotient, remainder = divmod(table[-1] * (4 * n - 2), n + 1)
-        if remainder:
-            raise ArithmeticError("term-ratio recurrence left a remainder")
-        table.append(quotient)
-    return table
+    rest by the term ratio C_{n+1} = C_n (4n-2)/(n+1), catalan_holonomic's loop."""
+    return _term_ratio(catalan_closed(start), start, count) if count > 0 else []
 
 
 def _window_sums(vector, start: int, count: int) -> list:
@@ -291,9 +283,9 @@ def validate_polynomial(cert: PolynomialCertificate) -> None:
         raise CertificateError(f"witness index {n} is not the first nonzero window")
 
 
-def _catalan_hankel_minors(order_bound: int) -> list:
-    """Order-k Catalan window determinants at offset 1 for every k <= bound:
-    all 1, once the path moments below are checked against C_1..C_{2K+1}.
+def _check_catalan_hankel(order_bound: int) -> None:
+    """Prove that the order-k Catalan window determinants at offset 1 are
+    all 1 for every k <= bound, from path moments checked against C_1..C_{2K+1}.
 
     Let B_{n,h} count Motzkin paths from height 0 to height h in n steps,
     a level step at height h weighing b_h (b_0 = 1, b_h = 2 for h >= 1):
@@ -314,17 +306,16 @@ def _catalan_hankel_minors(order_bound: int) -> list:
         pairs = [*map(operator.add, row, row[1:]), row[-1]]
         row = [pairs[0], *map(operator.add, pairs, pairs[1:]), pairs[-1]]
         del row[2 * order_bound - n :]
-    return [1] * (order_bound + 1)
 
 
 def refute_by_hankel(order_bound: int) -> HankelCertificate:
     """Nonzero exact Catalan window determinants for every order <= bound,
-    all 1 by one path check (see _catalan_hankel_minors)."""
+    all 1 by one path check (see _check_catalan_hankel)."""
     if order_bound < 0:
         raise ValueError(f"need order bound >= 0, got {order_bound}")
     _check_order_cap("hankel order bound", order_bound)
-    minors = _catalan_hankel_minors(order_bound)  # K + 1 ones, or it raises
-    return HankelCertificate(order_bound, tuple((k, 1, det) for k, det in enumerate(minors)))
+    _check_catalan_hankel(order_bound)
+    return HankelCertificate(order_bound, tuple((k, 1, 1) for k in range(order_bound + 1)))
 
 
 def validate_hankel(cert: HankelCertificate) -> None:
@@ -332,13 +323,13 @@ def validate_hankel(cert: HankelCertificate) -> None:
 
     The determinant argument needs only the offset-1 window determinants
     (all 1: Aigner, JCTA 87, 1999), so the witnesses must be exactly
-    (k, 1, det) for k = 0..K (K the bound); the count and this layout are
+    (k, 1, 1) for k = 0..K (K the bound); the count and this layout are
     checked before any Catalan value is built, so no window reads past
     C_{2K+1} and an accepted document costs the producer's one check.  That
     check proves every such determinant is 1 from the J-fraction of the
     Catalan numbers: the weighted Motzkin path counts B_{n,0} (level steps
     weigh 1 at height 0 and 2 above it) must equal C_{n+1} for n <= 2K, and
-    then H_k = B_k B_k^T with B_k unitriangular (see _catalan_hankel_minors).
+    then H_k = B_k B_k^T with B_k unitriangular (see _check_catalan_hankel).
     It costs O(K^2) additions of O(K)-bit integers, against the cubic
     Bareiss pass it replaces.
     """
@@ -348,18 +339,16 @@ def validate_hankel(cert: HankelCertificate) -> None:
             f"{len(cert.witnesses)} witness(es) cannot cover orders 0..{bound}"
         )
     _check_order_cap("hankel order bound", bound)
-    for k, (order, offset, _) in enumerate(cert.witnesses):
+    for k, (order, offset, det) in enumerate(cert.witnesses):
         if (order, offset) != (k, 1):
             raise CertificateError(
                 f"witness {k} is at order {order}, offset {offset}; need order {k}, offset 1"
             )
-    for (k, _, det), recomputed in zip(cert.witnesses, _catalan_hankel_minors(bound)):
         if det == 0:
             raise CertificateError(f"zero determinant certifies nothing at order {k}")
-        if recomputed != det:
-            raise CertificateError(
-                f"order {k}: stored determinant {det} != recomputed {recomputed}"
-            )
+        if det != 1:
+            raise CertificateError(f"order {k}: stored determinant {det} != 1, the Catalan value")
+    _check_catalan_hankel(bound)
 
 
 def refute_by_gf(candidate: LinearRecurrence) -> GfMismatchCertificate:

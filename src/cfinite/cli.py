@@ -22,9 +22,10 @@ given to validate names, or a list in that document past certify.LIST_CAP).
 
 Start-up imports only what parsing and JSON output need (seqcore, errors,
 schema); each handler imports its own engines.  `catalan` loads nothing
-more; `guess` adds recurrence and linalg; `gf catalan` adds gfseries and
-linalg, and a recurrence spec adds recurrence; refute and validate load
-certify with gfseries, recurrence and linalg.  Only binet loads powersum.
+more; `guess` adds recurrence (and its linalg) and formats what it finds;
+`gf catalan` adds gfseries and linalg, and a recurrence spec adds recurrence;
+refute and validate load certify with gfseries, recurrence and linalg.  Only
+binet loads powersum.
 """
 
 import argparse
@@ -187,34 +188,6 @@ def _load_guess_sequence(args) -> tuple:
     raise ValueError("supply --input FILE or --terms LIST")
 
 
-def _hankel_evidence(seq: Sequence, max_order: int):
-    """(k, (offset, determinant) or None) for k = 0..max_order: the first
-    offset whose square order-k window matrix is nonsingular.  The terms
-    must reach b_{2K+1}, K = max_order.
-
-    One pass over b_1..b_{2K+1}, scaled to integers by s (linalg.hankel_minors),
-    gives every offset-1 minor as minor_k / s**(k+1).  Orders at or past the
-    first zero minor search further offsets one determinant at a time.
-    """
-    from . import linalg, recurrence
-
-    ints, scale = linalg.clear_denominators(seq.terms[: 2 * max_order + 1])
-    minors = linalg.hankel_minors(ints)
-    evidence = []
-    for k in range(max_order + 1):
-        found = None
-        if k < len(minors) and minors[k] != 0:
-            found = (1, Fraction(minors[k], scale ** (k + 1)))
-        else:
-            for offset in range(1, len(seq) - 2 * k + 1):
-                det = recurrence.hankel_nonsingular_witness(seq, k, offset)
-                if det != 0:
-                    found = (offset, det)
-                    break
-        evidence.append((k, found))
-    return evidence
-
-
 def _cmd_guess(args) -> CommandResult:
     from . import recurrence
 
@@ -248,16 +221,14 @@ def _cmd_guess(args) -> CommandResult:
         }
         return CommandResult(_wrap("guess", "ok", payload), lines)
     lines.append(f"no recurrence of order <= {max_order} on supplied data")
-    evidence = _hankel_evidence(seq, max_order)
     witnesses = []
-    for k, found in evidence:
-        if found is None:
-            lines.append(f"  order {k}: no nonsingular window in the data")
-            witnesses.append({"order": k, "offset": None, "determinant": None})
-        else:
-            offset, det = found
-            lines.append(f"  order {k}: window determinant {det} != 0 at offset {offset}")
-            witnesses.append({"order": k, "offset": offset, "determinant": str(det)})
+    for k, found in recurrence.hankel_evidence(seq, max_order):
+        offset, det = found or (None, None)
+        witnesses.append({"order": k, "offset": offset, "determinant": found and str(det)})
+        lines.append(
+            f"  order {k}: window determinant {det} != 0 at offset {offset}"
+            if found else f"  order {k}: no nonsingular window in the data"
+        )
     payload = {
         "found": False,
         "max_order": max_order,

@@ -16,11 +16,10 @@ col[i] - f * top is built as one Fraction, normalized once instead of
 twice (`_eliminate_rational`), and a new pivot's column is cleared by
 writing Fraction(0), not by computing f - f * 1; the first other entry
 sends the rest of the pass through the generic loop.  `_bareiss` is
-fraction-free elimination of integer matrices; `determinant` and
-`leading_principal_minors` use it, so determinants are taken over Q only
-(rational rows are scaled to integers first); `hankel_minors` serves
-`cli._hankel_evidence` and the `guess_recurrence` screen, and is the
-tests' oracle for the path check that proves certify's Catalan minors.
+fraction-free elimination of integer matrices, so `determinant` works over
+Q only (rational rows are scaled to integers first); `hankel_minors`, its
+other caller, serves `recurrence.hankel_evidence`, the `guess_recurrence`
+screen and the tests' oracle for certify's Catalan minors.
 Pivots are chosen leftmost-first in row order, so every routine is
 deterministic; no magnitude pivoting is needed because arithmetic is exact.
 """
@@ -185,35 +184,17 @@ def _bareiss(mat, exchange: bool):
     return pivots, sign
 
 
-def _square(matrix) -> int:
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise DimensionError(f"row of length {len(row)}, expected {n} for a square matrix")
-    return n
-
-
-def leading_principal_minors(matrix) -> list:
-    """Determinants of the leading 1x1, 2x2, ... blocks of a square integer
-    matrix, from one fraction-free pass.
-
-    Entry i is the minor of the leading (i+1) x (i+1) block.  The list stops
-    at the first zero minor, which is its last entry; the minors after a
-    zero one are not computed.
-    """
-    _square(matrix)
-    if not all(isinstance(x, int) for row in matrix for x in row):
-        raise TypeError("leading principal minors need an integer matrix")
-    pivots, _ = _bareiss([list(row) for row in matrix], exchange=False)
-    return pivots
-
-
 def hankel_minors(terms) -> list:
     """Leading principal minors of the Hankel matrix (terms[i+j]), i, j = 0..K,
-    of 2K + 1 integer terms: the order-k window matrix of the terms is its
-    leading block, so one pass gives every order (see leading_principal_minors)."""
+    of 2K + 1 integer terms, from one pass: entry k is the order-k window
+    determinant, and the list ends at the first zero minor (see _bareiss)."""
+    if len(terms) % 2 == 0:
+        raise DimensionError(f"need an odd number of terms, got {len(terms)}")
+    if not all(isinstance(x, int) for x in terms):
+        raise TypeError("hankel minors need integer terms")
     order = len(terms) // 2
-    return leading_principal_minors([terms[i : i + order + 1] for i in range(order + 1)])
+    pivots, _ = _bareiss([list(terms[i : i + order + 1]) for i in range(order + 1)], exchange=False)
+    return pivots
 
 
 def clear_denominators(values):
@@ -238,7 +219,10 @@ def determinant(matrix) -> Fraction:
     integer matrix goes through fraction-free (Bareiss) elimination, and the
     scales are divided out again.  Any other entry type raises TypeError.
     """
-    if _square(matrix) == 0:
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise DimensionError(f"{n} rows of lengths {[len(row) for row in matrix]}: not square")
+    if n == 0:
         return Fraction(1)
     cleared = [clear_denominators(row) for row in matrix]
     pivots, sign = _bareiss([ints for ints, _ in cleared], exchange=True)

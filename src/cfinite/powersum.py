@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .errors import RootFindingError, SingularSystemError
+from .errors import ResourceLimitError, RootFindingError, SingularSystemError
 from .gfseries import _is_exact, linear_factor_product, Polynomial
 from .gfseries import poly_gcd as poly_gcd  # re-export: callers import it from here
 from .recurrence import LinearRecurrence
@@ -89,7 +89,12 @@ def _aberth_roots(f: Polynomial) -> list:
     cubic, so the last sweeps polish."""
     ints, _ = linalg.clear_denominators(f.coeffs)
     wide = [Decimal(c) for c in ints]
-    floats = Polynomial(tuple(complex(c) for c in f.coeffs))
+    try:
+        floats = Polynomial(tuple(complex(c) for c in f.coeffs))
+    except OverflowError:
+        big = max(f.coeffs, key=abs)
+        big = Decimal(big.numerator) / big.denominator  # str() refuses ints past 4,300 digits
+        raise ResourceLimitError(f"polynomial coefficient {big:.6e} is past the float range") from None
     deriv = floats.derivative()
     hull = []  # Newton polygon: upper hull of the points (i, log|a_i|); Im(conj(u) v) = u x v
     for point in [complex(i, math.log(abs(c))) for i, c in enumerate(ints) if c]:
@@ -278,7 +283,13 @@ def binet_form(rec: LinearRecurrence, initial_terms) -> PowerSum:
     column_of = {jt: i for i, jt in enumerate(columns)}
     samples = range(start, start + unknowns)
     number = Fraction if exact else complex
-    rows = [[number(n) ** t * number(nonzero[j][0]) ** n for j, t in columns] for n in samples]
+    try:
+        rows = [[number(n) ** t * number(nonzero[j][0]) ** n for j, t in columns] for n in samples]
+    except OverflowError:
+        big = max((r for r, _ in nonzero), key=abs)
+        raise ResourceLimitError(
+            f"root {big:.6g} to the power {samples[-1]} is past the float range"
+        ) from None
     rhs = [number(initial[n - 1]) for n in samples]
     solution = linalg.solve(rows, rhs) if exact else _complex_solve(rows, rhs)
     if solution is None:

@@ -1,4 +1,5 @@
-"""Constant-coefficient linear recurrences: verify, guess, descend.
+"""Constant-coefficient linear recurrences: verify, guess, descend, and
+the window-determinant (Hankel) evidence that no low-order one fits.
 
 A recurrence of order k with coefficients (a_0, ..., a_{k-1}) asserts
 b_{n+k} = sum_{j<k} a_j b_{n+j} for every n >= 1.  Order 0 is the empty
@@ -82,36 +83,6 @@ class IntegerRecurrenceVector:
     @property
     def order(self) -> int:
         return len(self.entries) - 1
-
-
-@dataclass(frozen=True)
-class WindowMatrix:
-    """Contiguous width-w windows (b_n, ..., b_{n+w-1}) as matrix rows."""
-
-    rows: tuple
-    start: int
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        if not rows:
-            raise ValueError("a window matrix needs at least one row")
-        if len({len(r) for r in rows}) != 1:
-            raise ValueError("ragged window rows")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def width(self) -> int:
-        return len(self.rows[0])
-
-    @classmethod
-    def from_sequence(cls, seq: Sequence, width: int, count: int, start: int = 1):
-        needed = start + count - 1 + width - 1
-        if needed > len(seq):
-            raise InsufficientDataError(
-                f"need {needed} terms for {count} width-{width} windows, have {len(seq)}"
-            )
-        rows = tuple(seq.window(start + i, width) for i in range(count))
-        return cls(rows, start)
 
 
 @dataclass(frozen=True)
@@ -246,8 +217,35 @@ def hankel_nonsingular_witness(seq: Sequence, order: int, offset: int) -> Fracti
     """
     if order < 0 or offset < 1:
         raise ValueError(f"need order >= 0 and offset >= 1, got {order}, {offset}")
-    wm = WindowMatrix.from_sequence(seq, order + 1, order + 1, offset)
-    return linalg.determinant(wm.rows)
+    if offset + 2 * order > len(seq):
+        raise InsufficientDataError(
+            f"need {offset + 2 * order} terms for order {order} at offset {offset}, have {len(seq)}"
+        )
+    return linalg.determinant([seq.window(offset + i, order + 1) for i in range(order + 1)])
+
+
+def hankel_evidence(seq: Sequence, max_order: int) -> list:
+    """(k, (offset, determinant) or None) for k = 0..max_order: the first
+    offset whose square order-k window matrix is nonsingular, proving that
+    no recurrence of order <= k fits the terms, or None if there is none.
+    Needs rational terms b_1..b_{2K+1}, K = max_order: one pass over them,
+    scaled to integers by s (linalg.hankel_minors), gives every offset-1
+    minor as minor_k / s**(k+1), and orders at or past the first zero minor
+    search further offsets one determinant at a time."""
+    if max_order < 0:
+        raise ValueError(f"need max_order >= 0, got {max_order}")
+    if len(seq) < 2 * max_order + 1:
+        raise InsufficientDataError(
+            f"need {2 * max_order + 1} terms for orders up to {max_order}, have {len(seq)}"
+        )
+    ints, scale = linalg.clear_denominators(seq.terms[: 2 * max_order + 1])
+    minors = [m for m in linalg.hankel_minors(ints) if m]  # the list ends at its first zero
+    evidence = [(k, (1, Fraction(m, scale ** (k + 1)))) for k, m in enumerate(minors)]
+    for k in range(len(minors), max_order + 1):
+        offsets = range(1, len(seq) - 2 * k + 1)
+        dets = ((at, hankel_nonsingular_witness(seq, k, at)) for at in offsets)
+        evidence.append((k, next(((at, det) for at, det in dets if det != 0), None)))
+    return evidence
 
 
 def normalize_coprime(rec: LinearRecurrence) -> IntegerRecurrenceVector:

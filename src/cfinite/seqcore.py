@@ -274,17 +274,23 @@ def catalan_closed(n: int) -> int:
     return quotient
 
 
-def catalan_holonomic(count: int) -> Sequence:
-    """(C_1, ..., C_count) via the term ratio C_{n+1} = (4n-2)/(n+1) * C_n."""
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}")
-    terms = [1]
-    for n in range(1, count):
+def _term_ratio(first: int, start: int, count: int) -> list:
+    """[C_start, ..., C_{start+count-1}] from first = C_start, count >= 1, by
+    the term ratio C_{n+1} = (4n-2)/(n+1) * C_n."""
+    terms = [first]
+    for n in range(start, start + count - 1):
         quotient, remainder = divmod(terms[-1] * (4 * n - 2), n + 1)
         if remainder:
             raise ArithmeticError("term-ratio recurrence left a remainder")
         terms.append(quotient)
-    return Sequence("catalan[holonomic]", tuple(terms))
+    return terms
+
+
+def catalan_holonomic(count: int) -> Sequence:
+    """(C_1, ..., C_count) via the term ratio C_{n+1} = (4n-2)/(n+1) * C_n."""
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
+    return Sequence("catalan[holonomic]", tuple(_term_ratio(1, 1, count)))
 
 
 def fibonacci(count: int) -> Sequence:

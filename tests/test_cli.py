@@ -5,15 +5,12 @@ import time
 
 import pytest
 
-import random
-from fractions import Fraction
-
 from cfinite import cli
 from cfinite.certify import refute_all, serialize_bundle
-from cfinite.cli import _hankel_evidence, ingest_bfile, main, parse_bfile, parse_rational_list
+from cfinite.cli import ingest_bfile, main, parse_bfile, parse_rational_list
 from cfinite.errors import BFileError
-from cfinite.recurrence import guess_recurrence, hankel_nonsingular_witness, LinearRecurrence
-from cfinite.seqcore import catalan_convolution, fibonacci, Sequence
+from cfinite.recurrence import guess_recurrence, LinearRecurrence
+from cfinite.seqcore import catalan_convolution, fibonacci
 from test_certify import (
     BIG_DENOMINATORS,
     FORGERY_ORDERS,
@@ -210,47 +207,6 @@ class TestGuessCommand:
         assert code == 2
         assert "--max-order must be at least 0, got -1" in err
         assert "no terms" not in err
-
-
-def reference_hankel_evidence(seq, max_order):
-    """One determinant per order and offset, as the guess command searched
-    before it read the offset-1 minors off one pass."""
-    evidence = []
-    for k in range(max_order + 1):
-        found = None
-        for offset in range(1, len(seq) - 2 * k + 1):
-            det = hankel_nonsingular_witness(seq, k, offset)
-            if det != 0:
-                found = (offset, det)
-                break
-        evidence.append((k, found))
-    return evidence
-
-
-class TestHankelEvidence:
-    def test_matches_per_offset_search(self):
-        rng = random.Random(43)
-        past_zero_minor = 0
-        for trial in range(60):
-            length = rng.randint(1, 13)
-            if trial % 2:
-                terms = [rng.choice((0, 0, 1, -1, 2)) for _ in range(length)]
-            else:
-                terms = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(length)]
-            seq = Sequence("random", terms)
-            max_order = (length - 1) // 2
-            evidence = _hankel_evidence(seq, max_order)
-            assert evidence == reference_hankel_evidence(seq, max_order)
-            for _, found in evidence:
-                assert found is None or type(found[1]) is Fraction
-            past_zero_minor += any(f is None or f[0] > 1 for _, f in evidence)
-        assert past_zero_minor >= 15
-
-    def test_catalan_terms(self):
-        seq = catalan_convolution(25)
-        evidence = _hankel_evidence(seq, 12)
-        assert evidence == reference_hankel_evidence(seq, 12)
-        assert evidence == [(k, (1, 1)) for k in range(13)]
 
 
 class TestRefuteCommand:
@@ -500,6 +456,12 @@ class TestBinetCommand:
         # a coefficient past the float range stops the numeric root tier itself
         code, _, err = run(capsys, "binet", "1" + "0" * 400, "--initial", "1")
         assert code == 2 and err.startswith("error: ")
+
+    def test_roots_past_the_float_range_are_refused(self, capsys):
+        # the root 10^200 squared in a Vandermonde row is past the float range
+        code, out, err = run(capsys, "binet", "--initial", "1,1", "--", "1," + str(10**200))
+        assert (code, out) == (2, "")
+        assert err == "error: root 1e+200+0j to the power 2 is past the float range\n"
 
 
 class TestGfCommand:

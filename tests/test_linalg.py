@@ -13,7 +13,6 @@ from cfinite.linalg import (
     hankel_minors,
     kernel_basis,
     kernel_vectors,
-    leading_principal_minors,
     reduce_columns,
     solve,
 )
@@ -214,44 +213,53 @@ class TestReduceColumns:
             list(reduce_columns([[1, 2], [3]], 2))
 
 
+def hankel_block(terms, k):
+    """The order-k window matrix (terms[i+j]), i, j = 0..k."""
+    return [terms[i : i + k + 1] for i in range(k + 1)]
+
+
 class TestLeadingPrincipalMinors:
+    """hankel_minors: the leading principal minors of the Hankel matrix."""
+
     def test_match_determinants_of_leading_blocks(self):
         rng = random.Random(11)
         for _ in range(40):
-            n = rng.randint(1, 8)
-            matrix = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            minors = leading_principal_minors(matrix)
+            terms = [rng.randint(-9, 9) for _ in range(2 * rng.randint(0, 7) + 1)]
+            minors = hankel_minors(terms)
             assert 0 not in minors[:-1]
-            assert len(minors) == n or minors[-1] == 0
-            for i, minor in enumerate(minors):
-                assert minor == determinant([row[: i + 1] for row in matrix[: i + 1]])
+            assert len(minors) == len(terms) // 2 + 1 or minors[-1] == 0
+            for k, minor in enumerate(minors):
+                assert minor == determinant(hankel_block(terms, k))
 
     def test_stops_at_zero_leading_minor(self):
         # nonsingular, but the leading 2x2 block is singular
-        matrix = [[1, 2, 3], [2, 4, 5], [3, 5, 7]]
-        assert determinant(matrix) != 0
-        assert leading_principal_minors(matrix) == [1, 0]
-        assert leading_principal_minors([[0, 1], [1, 0]]) == [0]
+        terms = [1, 1, 1, 2, 0]
+        assert determinant(hankel_block(terms, 2)) == -1
+        assert hankel_minors(terms) == [1, 0]
+        assert hankel_minors([0, 1, 0]) == [0]
 
     def test_hilbert_like_integer_matrix(self):
-        matrix = [[i + j + 1 for j in range(4)] for i in range(4)]
-        assert leading_principal_minors(matrix) == [1, -1, 0]
+        # the Hankel matrix of 1..7 is (i + j + 1)
+        assert hankel_minors(list(range(1, 8))) == [1, -1, 0]
 
     def test_hankel_minors(self):
+        # one pass gives every order: the minors of a prefix of 2k + 1 terms
+        # are a prefix of the minors of all the terms
         rng = random.Random(5)
-        for order in range(6):
-            terms = [rng.randint(-9, 9) for _ in range(2 * order + 1)]
-            matrix = [[terms[i + j] for j in range(order + 1)] for i in range(order + 1)]
-            assert hankel_minors(terms) == leading_principal_minors(matrix)
-        with pytest.raises(DimensionError):
-            hankel_minors([1, 2, 3, 4])
+        for _ in range(20):
+            terms = [rng.randint(-9, 9) for _ in range(11)]
+            minors = hankel_minors(terms)
+            for k in range(len(minors)):
+                assert hankel_minors(terms[: 2 * k + 1]) == minors[: k + 1]
 
     def test_shapes_and_types(self):
-        assert leading_principal_minors([]) == []
-        with pytest.raises(DimensionError):
-            leading_principal_minors([[1, 2]])
+        for even in ([], [1, 2], [1, 2, 3, 4]):
+            with pytest.raises(DimensionError):
+                hankel_minors(even)
         with pytest.raises(TypeError):
-            leading_principal_minors([[1.5]])
+            hankel_minors([1.5])
+        with pytest.raises(TypeError):
+            hankel_minors([1, Fraction(1, 2), 3])
 
 
 class TestDeterminant:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cfinite import powersum
-from cfinite.errors import RootFindingError, SingularSystemError
+from cfinite.errors import ResourceLimitError, RootFindingError, SingularSystemError
 from cfinite.powersum import (
     _complex_solve,
     binet_form,
@@ -269,6 +269,21 @@ class TestBinetForm:
         for n in range(1, 31):
             value = complex(evaluate_powersum(ps, n))
             assert abs(value - iterate_recurrence(LinearRecurrence((1, 1)), (1, 1), n)[-1]) < 1e-6
+
+    def test_root_powers_past_the_float_range_are_a_resource_limit(self):
+        # a Vandermonde row reaches (10^200)^2
+        message = r"^root 1e\+200\+0j to the power 2 is past the float range$"
+        with pytest.raises(ResourceLimitError, match=message):
+            binet_form(LinearRecurrence((1, 10**200)), (1, 1))
+
+    def test_coefficients_past_the_float_range_are_a_resource_limit(self):
+        # the root finder has no float copy of x - 10^400
+        message = r"^polynomial coefficient -1\.000000e\+400 is past the float range$"
+        with pytest.raises(ResourceLimitError, match=message):
+            binet_form(LinearRecurrence((10**400,)), (1,))
+        # named without str(), which refuses ints past 4,300 digits
+        with pytest.raises(ResourceLimitError, match=r"^polynomial coefficient -1\.000000e\+5000 "):
+            binet_form(LinearRecurrence((10**5000,)), (1,))
 
     def test_empty(self):
         ps = binet_form(LinearRecurrence(()), ())

@@ -11,6 +11,7 @@ from cfinite.errors import DimensionError, InsufficientDataError
 from cfinite.recurrence import (
     descend_field,
     guess_recurrence,
+    hankel_evidence,
     hankel_nonsingular_witness,
     IntegerRecurrenceVector,
     iterate_recurrence,
@@ -19,7 +20,6 @@ from cfinite.recurrence import (
     normalize_coprime,
     verify,
     VerificationResult,
-    WindowMatrix,
 )
 from cfinite.seqcore import (
     catalan_convolution,
@@ -439,6 +439,53 @@ class TestHankelWitness:
             hankel_nonsingular_witness(catalan_convolution(5), 3, 1)
 
 
+def reference_hankel_evidence(seq, max_order):
+    """One determinant per order and offset, as the guess command searched
+    before the offset-1 minors were read off one pass."""
+    evidence = []
+    for k in range(max_order + 1):
+        found = None
+        for offset in range(1, len(seq) - 2 * k + 1):
+            det = hankel_nonsingular_witness(seq, k, offset)
+            if det != 0:
+                found = (offset, det)
+                break
+        evidence.append((k, found))
+    return evidence
+
+
+class TestHankelEvidence:
+    def test_matches_per_offset_search(self):
+        rng = random.Random(43)
+        past_zero_minor = 0
+        for trial in range(60):
+            length = rng.randint(1, 13)
+            if trial % 2:
+                terms = [rng.choice((0, 0, 1, -1, 2)) for _ in range(length)]
+            else:
+                terms = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(length)]
+            seq = Sequence("random", terms)
+            max_order = (length - 1) // 2
+            evidence = hankel_evidence(seq, max_order)
+            assert evidence == reference_hankel_evidence(seq, max_order)
+            for _, found in evidence:
+                assert found is None or type(found[1]) is Fraction
+            past_zero_minor += any(f is None or f[0] > 1 for _, f in evidence)
+        assert past_zero_minor >= 15
+
+    def test_catalan_terms(self):
+        seq = catalan_convolution(25)
+        evidence = hankel_evidence(seq, 12)
+        assert evidence == reference_hankel_evidence(seq, 12)
+        assert evidence == [(k, (1, 1)) for k in range(13)]
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="need max_order >= 0, got -1"):
+            hankel_evidence(catalan_convolution(5), -1)
+        with pytest.raises(InsufficientDataError, match="need 7 terms for orders up to 3, have 6"):
+            hankel_evidence(catalan_convolution(6), 3)
+
+
 class TestNormalizeCoprime:
     def test_already_integral(self):
         assert normalize_coprime(LinearRecurrence((4,))).entries == (4, -1)
@@ -542,22 +589,6 @@ class TestDescendField:
         rec = LinearRecurrence((sqrt5(0, -1), sqrt5(1, -1), sqrt5(1, 1)))
         with pytest.raises(InsufficientDataError):
             descend_field(fibonacci(6), rec, 5)
-
-
-class TestWindowMatrix:
-    def test_rows_are_contiguous_windows(self):
-        seq = Sequence("s", tuple(range(1, 11)))
-        wm = WindowMatrix.from_sequence(seq, 3, 4, start=2)
-        assert wm.rows == ((2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 7))
-        assert wm.width == 3
-
-    def test_needs_enough_terms(self):
-        with pytest.raises(InsufficientDataError):
-            WindowMatrix.from_sequence(Sequence("s", (1, 2, 3)), 2, 3)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            WindowMatrix((), 1)
 
 
 class TestLinearRecurrence:

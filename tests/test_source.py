@@ -172,9 +172,9 @@ PUBLIC = {
         "vandermonde_modulus",
     ),
     "recurrence": (
-        "descend_field", "guess_recurrence", "hankel_nonsingular_witness",
-        "IntegerRecurrenceVector", "iterate_recurrence", "kernel_nontrivial",
-        "LinearRecurrence", "normalize_coprime", "verify", "WindowMatrix",
+        "descend_field", "guess_recurrence", "hankel_evidence",
+        "hankel_nonsingular_witness", "IntegerRecurrenceVector", "iterate_recurrence",
+        "kernel_nontrivial", "LinearRecurrence", "normalize_coprime", "verify",
     ),
     "seqcore": (
         "catalan_ballot", "catalan_closed", "catalan_convolution", "catalan_holonomic",
