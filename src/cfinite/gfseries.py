@@ -234,19 +234,14 @@ def _pseudo_mod(fa: list, fb: list) -> list:
     return rem
 
 
-# Any prime > all interesting degrees works for the coprimality filter; a
-# fixed 61-bit Mersenne prime keeps the reduction in machine-assisted ints.
-_FILTER_PRIME = (1 << 61) - 1
-
-
 def _coprime_mod_prime(fa: list, fb: list) -> bool:
     """True only when gcd(fa, fb) over Q is provably constant.
 
-    If the prime divides neither leading coefficient, the gcd degree over Q
-    is at most the gcd degree mod the prime, so a constant modular gcd
-    certifies coprimality.  Returns False when inconclusive.
+    If the prime p = linalg.PRIME divides neither leading coefficient, the
+    gcd degree over Q is at most the gcd degree mod p, so a constant modular
+    gcd certifies coprimality.  Returns False when inconclusive.
     """
-    p = _FILTER_PRIME
+    p = linalg.PRIME
     if fa[-1] % p == 0 or fb[-1] % p == 0:
         return False
     a = [c % p for c in fa]

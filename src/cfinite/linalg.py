@@ -18,8 +18,10 @@ writing Fraction(0), not by computing f - f * 1; the first other entry
 sends the rest of the pass through the generic loop.  `_bareiss` is
 fraction-free elimination of integer matrices, so `determinant` works over
 Q only (rational rows are scaled to integers first); `hankel_minors`, its
-other caller, serves `recurrence.hankel_evidence`, the `guess_recurrence`
-screen and the tests' oracle for certify's Catalan minors.
+other caller, serves `recurrence.hankel_evidence` and the tests' oracles for
+certify's Catalan minors and for `hankel_screen`, the `guess_recurrence`
+screen: an O(K^2) Chebyshev run over F_p, p = `PRIME` (the one modulus, which
+gfseries' coprimality filter shares), that can prove the last minor nonzero.
 Pivots are chosen leftmost-first in row order, so every routine is
 deterministic; no magnitude pivoting is needed because arithmetic is exact.
 """
@@ -184,17 +186,55 @@ def _bareiss(mat, exchange: bool):
     return pivots, sign
 
 
-def hankel_minors(terms) -> list:
-    """Leading principal minors of the Hankel matrix (terms[i+j]), i, j = 0..K,
-    of 2K + 1 integer terms, from one pass: entry k is the order-k window
-    determinant, and the list ends at the first zero minor (see _bareiss)."""
+def _hankel_order(terms) -> int:
+    """K for 2K + 1 integer terms; refuses an even count and non-integers."""
     if len(terms) % 2 == 0:
         raise DimensionError(f"need an odd number of terms, got {len(terms)}")
     if not all(isinstance(x, int) for x in terms):
         raise TypeError("hankel minors need integer terms")
-    order = len(terms) // 2
+    return len(terms) // 2
+
+
+def hankel_minors(terms) -> list:
+    """Leading principal minors of the Hankel matrix (terms[i+j]), i, j = 0..K,
+    of 2K + 1 integer terms, from one pass: entry k is the order-k window
+    determinant, and the list ends at the first zero minor (see _bareiss)."""
+    order = _hankel_order(terms)
     pivots, _ = _bareiss([list(terms[i : i + order + 1]) for i in range(order + 1)], exchange=False)
     return pivots
+
+
+# 2^61 - 1: the one modulus of the mod-p filters here and in gfseries
+PRIME = (1 << 61) - 1
+
+
+def hankel_screen(terms) -> bool:
+    """True proves hankel_minors(terms)[-1] != 0 in O(K^2) word operations;
+    False decides nothing.  It runs the Chebyshev algorithm (Gautschi,
+    Orthogonal Polynomials, 2004, sec. 2.1.7) on the moments terms[l] over
+    F_p, p = PRIME: over any field, its diagonal sigma_{k,k} gives the
+    leading minors (entry k of hankel_minors) as H_k = prod_{i<=k}
+    sigma_{i,i}, up to the first zero sigma_{k,k}.  The exact minors form a
+    prefix of nonzero values, and the run reduces that prefix mod p (a
+    determinant's residue is the determinant of the residues): if every
+    sigma_{k,k}, k <= K, is nonzero mod p, so is every H_k, hence H_k != 0
+    over Z.  A zero residue (a zero minor, or one that p divides) is
+    undecided.
+    """
+    _hankel_order(terms)
+    p = PRIME
+    older, row = [0] * len(terms), [x % p for x in terms]  # sigma_{k-1,k-1+j}, sigma_{k,k+j}
+    ratio, inv = 0, 1  # sigma_{k-1,k}/sigma_{k-1,k-1} and 1/sigma_{k-1,k-1}
+    while row[0]:
+        if len(row) == 1:
+            return True
+        beta = row[0] * inv % p  # beta_k = sigma_{k,k}/sigma_{k-1,k-1}
+        inv = pow(row[0], -1, p)
+        alpha = (row[1] * inv - ratio) % p  # alpha_k = sigma_{k,k+1}/sigma_{k,k} - ratio
+        ratio = (ratio + alpha) % p
+        # sigma_{k+1,l} = sigma_{k,l+1} - alpha_k sigma_{k,l} - beta_k sigma_{k-1,l}
+        older, row = row, [(x - alpha * y - beta * z) % p for x, y, z in zip(row[2:], row[1:], older[2:])]
+    return False
 
 
 def clear_denominators(values):

@@ -179,10 +179,11 @@ def guess_recurrence(
     k whose recurrence verifies on all supplied terms wins, so the pass
     stops after column k.  Returns None when no order <= max_order fits.
     The result is only ever "verified on available data": finitely many
-    terms cannot prove a recurrence for all n.  Rational data are screened
-    first.  The order-m Hankel matrix (b_{1+i+j}), m = max_order, is the
-    window matrix on rows 1..m+1, inside the pass's W >= m+1 rows.  If one
-    fraction-free pass (linalg.hankel_minors) finds H_m != 0 (Catalan: 1),
+    terms cannot prove a recurrence for all n.  Rational terms are scaled
+    to integers once, which changes neither the reduced window matrix nor
+    what verifies, and screened: the order-m Hankel matrix (b_{1+i+j}),
+    m = max_order, is the window matrix on rows 1..m+1, inside the pass's
+    W >= m+1 rows.  If linalg.hankel_screen proves H_m != 0 (Catalan: 1),
     columns 0..m are independent there, hence on all W rows, so every column
     is pivotal, the pass would return None, and None is returned at once.
     """
@@ -198,9 +199,10 @@ def guess_recurrence(
         )
     terms = seq.terms
     if seq.is_rational():
-        ints, _ = linalg.clear_denominators(terms[: 2 * max_order + 1])
-        if linalg.hankel_minors(ints)[-1] != 0:  # the minors end at the first zero
+        terms, _ = linalg.clear_denominators(terms)
+        if linalg.hankel_screen(terms[: 2 * max_order + 1]):
             return None
+        seq = Sequence(seq.name, terms)
     columns = (terms[j : j + window_count] for j in range(max_order + 1))
     for k, v in linalg.kernel_vectors(columns, window_count):
         candidate = LinearRecurrence(tuple(-x for x in v[:k]))

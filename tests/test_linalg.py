@@ -1,5 +1,5 @@
 """Exact linear algebra: column-fed Gauss-Jordan, Bareiss determinants and
-minors, denominators."""
+minors, the mod-p Hankel screen, denominators."""
 
 import random
 from fractions import Fraction
@@ -11,12 +11,14 @@ from cfinite.linalg import (
     clear_denominators,
     determinant,
     hankel_minors,
+    hankel_screen,
     kernel_basis,
     kernel_vectors,
+    PRIME,
     reduce_columns,
     solve,
 )
-from cfinite.seqcore import QuadraticFieldElement
+from cfinite.seqcore import catalan_closed, QuadraticFieldElement
 
 
 def cofactor_determinant(matrix):
@@ -260,6 +262,58 @@ class TestLeadingPrincipalMinors:
             hankel_minors([1.5])
         with pytest.raises(TypeError):
             hankel_minors([1, Fraction(1, 2), 3])
+
+
+class TestHankelScreen:
+    """hankel_screen: True proves hankel_minors(terms)[-1] != 0."""
+
+    def test_never_answers_when_the_exact_minors_end_in_zero(self):
+        rng = random.Random(24)
+        answered = undecided = 0
+        for trial in range(600):
+            m = rng.randint(0, 12)
+            if trial % 3 == 0:
+                terms = [rng.randint(-3, 3) for _ in range(2 * m + 1)]
+            elif trial % 3 == 1:
+                # C-finite of order r: every minor past order r - 1 is zero
+                r = rng.randint(1, 4)
+                terms = [rng.randint(-3, 3) for _ in range(r)]
+                coefficients = [rng.randint(-2, 2) for _ in range(r)]
+                while len(terms) < 2 * m + 1:
+                    terms.append(sum(a * b for a, b in zip(coefficients, terms[-r:])))
+                terms = terms[: 2 * m + 1]
+            else:
+                start = rng.randint(1, 6)
+                terms = [catalan_closed(n) for n in range(start, start + 2 * m + 1)]
+            minors = hankel_minors(terms)
+            screened = hankel_screen(terms)
+            if screened:
+                assert minors[-1] != 0
+            if trial % 3 == 2:
+                # Catalan Hankel matrices are positive definite
+                assert screened and 0 not in minors
+            answered += screened
+            undecided += minors[-1] == 0
+        assert answered >= 250 and undecided >= 150
+
+    def test_minor_divisible_by_the_prime_is_undecided(self):
+        # H_k of p C_1..C_{2k+1} is p^(k+1), nonzero, but zero mod p
+        terms = [PRIME * catalan_closed(n) for n in range(1, 12)]
+        assert hankel_minors(terms) == [PRIME ** (k + 1) for k in range(6)]
+        assert not hankel_screen(terms)
+
+    def test_zero_leading_minor_is_undecided(self):
+        # nonsingular, but the leading 2x2 block is singular (see
+        # TestLeadingPrincipalMinors)
+        assert not hankel_screen([1, 1, 1, 2, 0])
+        assert not hankel_screen([0, 1, 0])
+
+    def test_shapes_and_types(self):
+        for even in ([], [1, 2], [1, 2, 3, 4]):
+            with pytest.raises(DimensionError):
+                hankel_screen(even)
+        with pytest.raises(TypeError):
+            hankel_screen([1, Fraction(1, 2), 3])
 
 
 class TestDeterminant:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cfinite import linalg
+from cfinite import recurrence as recurrence_module
 from cfinite.errors import DimensionError, InsufficientDataError
 from cfinite.recurrence import (
     descend_field,
@@ -363,7 +364,11 @@ class TestGuessOnePass:
 
 class TestGuessHankelScreen:
     @pytest.mark.parametrize("max_order", [8, 24, 64])
-    def test_catalan_reads_no_column(self, columns_read, max_order):
+    def test_catalan_reads_no_column(self, columns_read, monkeypatch, max_order):
+        def no_exact_pass(terms):
+            raise AssertionError("the screen runs no Bareiss pass")
+
+        monkeypatch.setattr(linalg, "hankel_minors", no_exact_pass)
         seq = catalan_convolution(3 * max_order + 4)
         assert guess_recurrence(seq, max_order) is None
         assert columns_read == []
@@ -380,6 +385,26 @@ class TestGuessHankelScreen:
         guessed = guess_recurrence(seq, 4)
         assert guessed is None and reference_guess(seq, 4) is None
         assert columns_read == [5]
+
+    def test_minor_divisible_by_the_prime_runs_the_column_pass(self, columns_read):
+        # H_8 of p C_1..C_17 is p^9: nonzero, but zero mod the screen's prime
+        seq = Sequence("p-catalan", [linalg.PRIME * c for c in catalan_convolution(28).terms])
+        assert linalg.hankel_minors(list(seq.terms[:17]))[-1] == linalg.PRIME ** 9
+        assert guess_recurrence(seq, 8) is None
+        assert columns_read == [9]
+
+    def test_verify_reads_integer_terms(self, monkeypatch):
+        read = []
+
+        def recording(seq, rec, span=None):
+            read.append({type(t) for t in seq.terms})
+            return verify(seq, rec, span)
+
+        monkeypatch.setattr(recurrence_module, "verify", recording)
+        rec = LinearRecurrence((Fraction(1, 2), Fraction(-2, 3)))
+        terms = iterate_recurrence(rec, (1, Fraction(1, 3)), 20)
+        assert guess_recurrence(Sequence("fractions", terms), 4) == rec
+        assert read and all(types == {int} for types in read)
 
     def test_fraction_terms(self, columns_read):
         rng = random.Random(23)
@@ -402,6 +427,9 @@ class TestGuessHankelScreen:
             assert typed_coefficients(guessed) == typed_coefficients(reference_guess(seq, max_order))
             found += guessed is not None
             screened += len(columns_read) == passes
+            # the terms times the lcm of their denominators give the same guess
+            scaled = Sequence("scaled", linalg.clear_denominators(terms)[0])
+            assert typed_coefficients(guess_recurrence(scaled, max_order)) == typed_coefficients(guessed)
         assert found >= 15 and screened >= 15
 
 
