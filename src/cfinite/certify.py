@@ -201,17 +201,37 @@ def validate_parity(cert: ParityCertificate) -> None:
 
 
 def summand_polynomial(order: int, j: int) -> Polynomial:
-    """The degree-3k factor multiplying a_j in the polynomial identity.
+    """The degree-3k factor S_j multiplying a_j in the polynomial identity.
 
     [(x+k)_{k+1} / (x+j)] * ((x+k-1)_{k-j})**2 * (2x+2j-2)_{2j}, with the
     first factor built by omitting (x+j) from the product, never by
-    dividing values.
+    dividing values.  This is the from-factors reference: the engine builds
+    S_0 here and the rest by the recurrence in _summands.
     """
     k = order
     first = linear_factor_product((i, 1) for i in range(k + 1) if i != j)
     second = linear_factor_product((k - 1 - t, 1) for t in range(k - j))
     third = linear_factor_product((2 * j - 2 - t, 2) for t in range(2 * j))
     return first * second * second * third
+
+
+def _summands(order: int):
+    """Coefficient lists of S_0, ..., S_k, from S_0 by the exact recurrence
+    S_j * (x+j) = 2(2x+2j-3) * S_{j-1}: one multiplication and one synthetic
+    division by (x+j) per step, O(k) integer operations each."""
+    s = list(summand_polynomial(order, 0).coeffs)
+    yield s
+    for j in range(1, order + 1):
+        c0, c1 = 4 * j - 6, 4  # 2(2x+2j-3) = c0 + c1*x
+        t = [c0 * s[0]] + [c0 * s[i] + c1 * s[i - 1] for i in range(1, len(s))] + [c1 * s[-1]]
+        q = [0] * (len(t) - 1)  # t = (x+j)*q + remainder
+        carry = 0
+        for i in range(len(t) - 1, 0, -1):
+            carry = q[i - 1] = t[i] - j * carry
+        if t[0] != j * carry:
+            raise ArithmeticError(f"(x+{j}) does not divide 2(2x+{2 * j - 3}) * S_{j - 1}")
+        s = q
+        yield s
 
 
 def polynomial_certificate_value(order: int) -> int:
@@ -222,6 +242,10 @@ def polynomial_certificate_value(order: int) -> int:
 
 def refute_by_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
     """Refute via the polynomial identity; needs order k >= 1.
+
+    p = sum_j a_j S_j with a_k = -1, summed in Fractions; S_0 comes from its
+    factors (summand_polynomial) and each later S_j from the one before by
+    the exact recurrence in _summands.
 
     The witness n* is the first window with a nonzero Catalan residual,
     which is the first n >= 1 with p(n) != 0 (see validate_polynomial).
@@ -235,8 +259,8 @@ def refute_by_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
         raise ValueError("order 0 delegates to the parity engine")
     weights = list(coefficients) + [Fraction(-1)]
     p = Polynomial()
-    for j, a in enumerate(weights):
-        p = p + summand_polynomial(k, j) * a
+    for s, a in zip(_summands(k), weights):
+        p = p + Polynomial(s) * a
     witness, residual = _first_residual(candidate)
     cert = PolynomialCertificate(k, coefficients, p, Fraction(p(-k)), witness, residual)
     validate_polynomial(cert)

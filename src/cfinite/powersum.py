@@ -159,10 +159,12 @@ def polynomial_roots(p: Polynomial):
     of the factor f in p = c * prod f**m has multiplicity exactly m.  The
     rational-root test finds a factor's rational roots, which exact
     division removes; the simple roots left come from an Aberth-Ehrlich
-    iteration.  Exact roots come first, sorted; then the complex floats,
-    sorted by (real, imag).  Raises ValueError for the zero polynomial or
-    inexact coefficients, and RootFindingError when the iteration does not
-    settle or a factor's roots are not distinct.
+    iteration.  Past 10**12, where the divisors are too many to try, the
+    test runs instead on the rational nearest each real numeric root.
+    Exact roots come first, sorted; then the complex floats, sorted by
+    (real, imag).  Raises ValueError for the zero polynomial or inexact
+    coefficients, and RootFindingError when the iteration does not settle
+    or a factor's roots are not distinct.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every number as a root")
@@ -173,7 +175,8 @@ def polynomial_roots(p: Polynomial):
     numeric = []
     for f, m in _squarefree_factors(Polynomial(p.coeffs[v:])):
         ints, _ = linalg.clear_denominators(f.coeffs)
-        if abs(ints[0]) <= 10**12 and abs(ints[-1]) <= 10**12:
+        enumerated = abs(ints[0]) <= 10**12 and abs(ints[-1]) <= 10**12
+        if enumerated:
             pairs = [(num, den) for num in _divisors(ints[0]) for den in _divisors(ints[-1])]
             for cand in sorted({Fraction(s * num, den) for num, den in pairs for s in (1, -1)}):
                 if f(cand) == 0:
@@ -185,6 +188,15 @@ def polynomial_roots(p: Polynomial):
         roots = [complex(z.real) if abs(z.imag) <= 1e-10 * abs(z) else z for z in roots]
         if len(set(roots)) != f.degree:  # f is squarefree: its roots are distinct
             raise RootFindingError(f"{len(set(roots))} distinct roots for a factor of degree {f.degree}")
+        if not enumerated:
+            # too many divisors to try: a rational root's denominator divides
+            # the leading coefficient, so test the rational nearest each real root
+            for z in [z for z in roots if not z.imag]:
+                cand = Fraction(z.real).limit_denominator(abs(ints[-1]))
+                if f(cand) == 0:
+                    f = f // Polynomial((-cand, 1))
+                    exact.append((cand, m))
+                    roots.remove(z)
         numeric += [(z, m) for z in roots]
     exact.sort(key=lambda rm: rm[0])
     numeric.sort(key=lambda rm: (rm[0].real, rm[0].imag))

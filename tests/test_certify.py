@@ -457,9 +457,39 @@ class TestPolynomialEngine:
             assert polynomial_certificate_value(k) == -ff1 * ff2
 
     def test_summand_degrees(self):
-        for k in range(1, 6):
-            for j in range(k + 1):
-                assert summand_polynomial(k, j).degree == 3 * k
+        # the engine's recurrence gives the from-factors S_j, coefficient for coefficient
+        for k in range(17):
+            summands = list(certify_module._summands(k))
+            assert len(summands) == k + 1
+            for j, s in enumerate(summands):
+                reference = summand_polynomial(k, j)
+                assert reference.degree == 3 * k
+                assert Polynomial(s) == reference
+
+    def test_polynomial_is_the_weighted_sum_of_reference_summands(self):
+        rng = random.Random(25)
+        for k in range(1, 25):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
+            coeffs[rng.randrange(k)] = Fraction(0)
+            cert = refute_by_polynomial(LinearRecurrence(tuple(coeffs)))
+            weights = coeffs + [Fraction(-1)]
+            expected = Polynomial()
+            for j, a in enumerate(weights):
+                expected = expected + summand_polynomial(k, j) * a
+            assert cert.polynomial == expected
+            assert [type(c) for c in cert.polynomial.coeffs] == [type(c) for c in expected.coeffs]
+
+    def test_engine_builds_one_summand_from_factors(self, monkeypatch):
+        calls = []
+        reference = certify_module.summand_polynomial
+
+        def counting(order, j):
+            calls.append((order, j))
+            return reference(order, j)
+
+        monkeypatch.setattr(certify_module, "summand_polynomial", counting)
+        refute_by_polynomial(LinearRecurrence((1, 2, 3, 4, 5)))
+        assert calls == [(5, 0)]
 
     def test_order_zero_delegates(self):
         with pytest.raises(ValueError):

@@ -411,11 +411,16 @@ class TestBinetCommand:
 
 
     def test_reconstruction_error_is_relative(self, capsys):
-        # b_n = 10^(13 n) takes the numeric tier; the absolute error read 6.828e+244
-        code, out, _ = run(capsys, "binet", "10000000000000", "--initial", "10000000000000", "--json")
+        # b_n = 10^13 b_{n-1} + b_{n-2} has the irrational roots about 10^13 and
+        # -10^-13, so it takes the numeric tier with values near 10^260
+        code, out, _ = run(capsys, "binet", "1,10000000000000", "--initial", "1,10000000000000", "--json")
         assert code == 0
         doc = json.loads(out)
         assert doc["status"] == "ok" and float(doc["payload"]["reconstruction"]) < 1e-12
+        # b_n = 10^(13 n) took the numeric tier too, with an absolute error of
+        # 6.828e+244; its rational root is now found past the divisor search
+        code, out, _ = run(capsys, "binet", "10000000000000", "--initial", "10000000000000", "--json")
+        assert code == 0 and json.loads(out)["payload"]["reconstruction"] == "exact"
         code, out, _ = run(capsys, "binet", "1,1", "--initial", "1,1")
         assert "reconstruction over n = 1..20: max relative error " in out
 

@@ -133,6 +133,25 @@ class TestPolynomialRoots:
         roots = polynomial_roots(Polynomial((1, -5, 6)))
         assert roots == [(Fraction(1, 3), 1), (Fraction(1, 2), 1)]
 
+    @pytest.mark.parametrize("root", [Fraction(10**13), Fraction(3 * 10**13, 7)])
+    def test_rational_root_past_the_divisor_search(self, root):
+        # coefficients past 10**12 skip the divisor enumeration; the rational
+        # nearest the numeric root is tested exactly instead
+        f = Polynomial((-root.numerator, root.denominator))
+        assert polynomial_roots(f) == [(root, 1)]
+        # with a double root and a complex pair beside it
+        roots = polynomial_roots(f * f * Polynomial((1, 0, 1)) * Polynomial((-3, 1)))
+        assert roots[:2] == [(Fraction(3), 1), (root, 2)]
+        assert [complex(r) for r, _ in roots[2:]] == pytest.approx([-1j, 1j])
+        assert [m for _, m in roots[2:]] == [1, 1]
+
+    def test_large_rational_root_gives_exact_binet(self):
+        ps = binet_form(LinearRecurrence((10**13,)), (10**13,))
+        [(poly, root)] = ps.terms
+        # a complex 1e13 would compare equal, so the types are checked too
+        assert (poly, root) == (Polynomial((1,)), Fraction(10**13))
+        assert isinstance(root, Fraction) and poly.is_exact()
+
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             polynomial_roots(Polynomial())
