@@ -243,9 +243,10 @@ def polynomial_certificate_value(order: int) -> int:
 def refute_by_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
     """Refute via the polynomial identity; needs order k >= 1.
 
-    p = sum_j a_j S_j with a_k = -1, summed in Fractions; S_0 comes from its
-    factors (summand_polynomial) and each later S_j from the one before by
-    the exact recurrence in _summands.
+    p = sum_j a_j S_j with a_k = -1.  The weights are cleared once to
+    integers w_j = L a_j, P = sum_j w_j S_j is summed in integers, and p is
+    P / L; S_0 comes from its factors (summand_polynomial) and each later
+    S_j from the one before by the exact recurrence in _summands.
 
     The witness n* is the first window with a nonzero Catalan residual,
     which is the first n >= 1 with p(n) != 0 (see validate_polynomial).
@@ -257,12 +258,15 @@ def refute_by_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
     k = candidate.order
     if k < 1:
         raise ValueError("order 0 delegates to the parity engine")
-    weights = list(coefficients) + [Fraction(-1)]
-    p = Polynomial()
-    for s, a in zip(_summands(k), weights):
-        p = p + Polynomial(s) * a
+    weights, scale = linalg.clear_denominators(list(coefficients) + [-1])
+    total = [0] * (3 * k + 1)  # every S_j has degree exactly 3k
+    for s, w in zip(_summands(k), weights):
+        if w:
+            total = [t + w * c for t, c in zip(total, s)]
+    p = Polynomial(Fraction(t, scale) for t in total)
     witness, residual = _first_residual(candidate)
-    cert = PolynomialCertificate(k, coefficients, p, Fraction(p(-k)), witness, residual)
+    value = Fraction(Polynomial(total)(-k), scale)
+    cert = PolynomialCertificate(k, coefficients, p, value, witness, residual)
     validate_polynomial(cert)
     return cert
 

@@ -61,6 +61,20 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
+def _convergents(x: Fraction, max_denominator: int):
+    """x's continued-fraction convergents with denominator <= max_denominator."""
+    h, h_prev, q, q_prev = 1, 0, 0, 1
+    while True:
+        a = math.floor(x)
+        h, h_prev, q, q_prev = a * h + h_prev, h, a * q + q_prev, q
+        if q > max_denominator:
+            return
+        yield Fraction(h, q)
+        if x == a:
+            return
+        x = 1 / (x - a)
+
+
 def _log_derivative(coeffs, z: complex) -> complex:
     """f'(z) / f(z) for f = sum_i coeffs[i] x**i, with Decimal coefficients.
 
@@ -76,6 +90,24 @@ def _log_derivative(coeffs, z: complex) -> complex:
             pr, pi = pr * x - pi * y + c, pr * y + pi * x
         norm = pr * pr + pi * pi
         return complex(float((qr * pr + qi * pi) / norm), float((qi * pr - qr * pi) / norm))
+
+
+def _polished(ints, x: float) -> Fraction:
+    """x after Newton steps at 50 digits on f = sum_i ints[i] t**i.
+
+    A float root is good to about 1e-16 relative; from there each step
+    squares the error of a simple root, so four reach the 50 digits.
+    """
+    with localcontext(_WIDE):
+        x = Decimal(x)
+        for _ in range(4):
+            f = df = Decimal(0)
+            for c in reversed(ints):
+                f, df = f * x + c, df * x + f
+            if not df:
+                break
+            x -= f / df
+        return Fraction(x)
 
 
 def _aberth_roots(f: Polynomial) -> list:
@@ -160,7 +192,8 @@ def polynomial_roots(p: Polynomial):
     rational-root test finds a factor's rational roots, which exact
     division removes; the simple roots left come from an Aberth-Ehrlich
     iteration.  Past 10**12, where the divisors are too many to try, the
-    test runs instead on the rational nearest each real numeric root.
+    test runs instead on the continued-fraction convergents of each real
+    numeric root.
     Exact roots come first, sorted; then the complex floats, sorted by
     (real, imag).  Raises ValueError for the zero polynomial or inexact
     coefficients, and RootFindingError when the iteration does not settle
@@ -189,14 +222,18 @@ def polynomial_roots(p: Polynomial):
         if len(set(roots)) != f.degree:  # f is squarefree: its roots are distinct
             raise RootFindingError(f"{len(set(roots))} distinct roots for a factor of degree {f.degree}")
         if not enumerated:
-            # too many divisors to try: a rational root's denominator divides
-            # the leading coefficient, so test the rational nearest each real root
+            # too many divisors to try: a rational root r / q has r dividing the
+            # constant and q the leading coefficient, and any x within
+            # 1 / (2 q**2) of it has r / q among its convergents (Legendre), so
+            # test those of each real root polished past the float precision
             for z in [z for z in roots if not z.imag]:
-                cand = Fraction(z.real).limit_denominator(abs(ints[-1]))
-                if f(cand) == 0:
-                    f = f // Polynomial((-cand, 1))
-                    exact.append((cand, m))
-                    roots.remove(z)
+                for cand in _convergents(_polished(ints, z.real), abs(ints[-1])):
+                    r, q = cand.numerator, cand.denominator
+                    if r and ints[0] % r == 0 and ints[-1] % q == 0 and f(cand) == 0:
+                        f = f // Polynomial((-cand, 1))
+                        exact.append((cand, m))
+                        roots.remove(z)
+                        break
         numeric += [(z, m) for z in roots]
     exact.sort(key=lambda rm: rm[0])
     numeric.sort(key=lambda rm: (rm[0].real, rm[0].imag))

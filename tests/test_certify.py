@@ -466,18 +466,58 @@ class TestPolynomialEngine:
                 assert reference.degree == 3 * k
                 assert Polynomial(s) == reference
 
+    @staticmethod
+    def assert_weighted_sum_of_reference_summands(coeffs):
+        """p is sum_j a_j S_j over the from-factors summands, a_k = -1, with
+        every coefficient a Fraction, as a Fraction-by-Fraction sum gives."""
+        k = len(coeffs)
+        cert = refute_by_polynomial(LinearRecurrence(tuple(coeffs)))
+        expected = Polynomial()
+        for j, a in enumerate([*coeffs, Fraction(-1)]):
+            expected = expected + summand_polynomial(k, j) * Fraction(a)
+        assert cert.polynomial == expected
+        assert all(type(c) is Fraction for c in cert.polynomial.coeffs)
+        assert cert.value_at_minus_order == expected(-k)
+
     def test_polynomial_is_the_weighted_sum_of_reference_summands(self):
         rng = random.Random(25)
         for k in range(1, 25):
             coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
             coeffs[rng.randrange(k)] = Fraction(0)
-            cert = refute_by_polynomial(LinearRecurrence(tuple(coeffs)))
-            weights = coeffs + [Fraction(-1)]
-            expected = Polynomial()
-            for j, a in enumerate(weights):
-                expected = expected + summand_polynomial(k, j) * a
-            assert cert.polynomial == expected
-            assert [type(c) for c in cert.polynomial.coeffs] == [type(c) for c in expected.coeffs]
+            self.assert_weighted_sum_of_reference_summands(coeffs)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (1, 2, 3, 4, 5),  # integers: the scale is 1
+            (-7, 0, 10**30, 1),
+            tuple(Fraction(1, 10**20 + j) for j in range(6)),  # lcm of the denominators near 10^120
+            (Fraction(-3, 10**20 + 1), Fraction(5, 10**20 + 7), 2, Fraction(1, 3)),
+            (0, 0, 0, 0, Fraction(1, 2)),  # several zero weights
+            (0, Fraction(2, 3), 0, 0, Fraction(-5, 7), 0, 0),
+            (0,) * 9,  # every a_j zero: p = -S_k
+        ],
+    )
+    def test_integer_sum_matches_the_fraction_sum(self, coeffs):
+        self.assert_weighted_sum_of_reference_summands(list(coeffs))
+
+    def test_summation_does_no_polynomial_arithmetic(self, monkeypatch):
+        # S_0 is built from its factors before the counters go in; the sum of
+        # p itself runs on integer lists, never on Polynomial + or *
+        first = summand_polynomial(6, 0)
+        monkeypatch.setattr(certify_module, "summand_polynomial", lambda order, j: first)
+        calls = []
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            original = getattr(Polynomial, name)
+
+            def counting(self, other, name=name, original=original):
+                calls.append(name)
+                return original(self, other)
+
+            monkeypatch.setattr(Polynomial, name, counting)
+        cert = refute_by_polynomial(LinearRecurrence((1, Fraction(1, 2), 0, -3, Fraction(4, 9), 5)))
+        assert calls == []
+        assert cert.value_at_minus_order == polynomial_certificate_value(6)
 
     def test_engine_builds_one_summand_from_factors(self, monkeypatch):
         calls = []

@@ -425,14 +425,24 @@ class TestBinetCommand:
         assert "reconstruction over n = 1..20: max relative error " in out
 
     def test_near_equal_roots_reconstruct_far_out(self, capsys):
-        # roots 1 +- 10^-8: root finding on float values of f put them at
-        # 1 +- 1.12e-8, or left a relative error of 9.3e-7 over n <= 1000
-        coefficients = "-9999999999999999/10000000000000000,2"
+        # irrational roots 1 +- sqrt(2) 10^-8: the numeric pair must stay
+        # apart well enough to reconstruct n <= 1000
+        coefficients = "-9999999999999998/10000000000000000,2"
         argv = ("binet", "--initial", "1,2", "--terms", "1000", "--json", "--", coefficients)
         code, out, _ = run(capsys, *argv)
         doc = json.loads(out)
         assert code == 0 and doc["status"] == "ok"
         assert float(doc["payload"]["reconstruction"]) < 1e-8
+        # roots 1 +- 10^-8 are rational, with coefficients past the divisor
+        # search: both are found exactly, so the power sum is exact
+        coefficients = "-9999999999999999/10000000000000000,2"
+        argv = ("binet", "--initial", "1,2", "--terms", "1000", "--json", "--", coefficients)
+        code, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 0 and doc["status"] == "ok"
+        assert doc["payload"]["reconstruction"] == "exact"
+        roots = [r["root"] for r in doc["payload"]["roots"]]
+        assert roots == ["99999999/100000000", "100000001/100000000"]
 
     def test_reconstruction_past_the_tolerance_exits_1(self, capsys, monkeypatch):
         from cfinite import powersum

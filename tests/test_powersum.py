@@ -145,6 +145,15 @@ class TestPolynomialRoots:
         assert [complex(r) for r, _ in roots[2:]] == pytest.approx([-1j, 1j])
         assert [m for _, m in roots[2:]] == [1, 1]
 
+    def test_close_rational_roots_past_the_divisor_search(self):
+        # 10000001/10^7 and 10000003/10^7: the product's leading coefficient
+        # is 10^14, and a fraction with denominator <= 10^14 lies nearer each
+        # float root than the root itself, so only a convergent finds it
+        f = Polynomial((-(10**7 + 1), 10**7)) * Polynomial((-(10**7 + 3), 10**7))
+        roots = polynomial_roots(f)
+        assert roots == [(Fraction(10**7 + 1, 10**7), 1), (Fraction(10**7 + 3, 10**7), 1)]
+        assert all(isinstance(r, Fraction) for r, _ in roots)
+
     def test_large_rational_root_gives_exact_binet(self):
         ps = binet_form(LinearRecurrence((10**13,)), (10**13,))
         [(poly, root)] = ps.terms
@@ -401,11 +410,17 @@ class TestBinetForm:
             assert error <= 2e-8 * max(1, abs(expected[n - 1]))
 
     def test_overflowing_vandermonde_entries_raise(self):
-        # the double root 1.3e154: 2 * root^2 overflows to inf, and the solve
-        # gave a power sum of NaN coefficients that passed the check
-        r = 13 * 10**153
+        # the irrational double roots +-sqrt(12) 10^76: 4 * root^4 overflows to
+        # inf, and the solve gave a power sum of NaN coefficients that passed
+        # the check
+        f = Polynomial((-12 * 10**153, 0, 1))
+        rec = LinearRecurrence(tuple(-c for c in (f * f).coeffs[:-1]))
         with pytest.raises(SingularSystemError, match="reconstruction failed at n=1"):
-            binet_form(LinearRecurrence((-r * r, 2 * r)), (1, 1))
+            binet_form(rec, (1, 1, 1, 1))
+        # the double root 1.3e154 is rational: found exactly, it never meets a float
+        r = 13 * 10**153
+        ps = binet_form(LinearRecurrence((-r * r, 2 * r)), (1, 1))
+        assert ps.is_exact and [root for _, root in ps.terms] == [r]
 
     def test_singular_numeric_system_raises(self):
         assert _complex_solve([[2, 1], [1, 3]], [3, 4]) == pytest.approx([1, 1])
