@@ -48,31 +48,17 @@ def characteristic_polynomial(rec: LinearRecurrence) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _convergents(x: Fraction, max_denominator: int):
     """x's continued-fraction convergents with denominator <= max_denominator."""
+    num, den = x.numerator, x.denominator
     h, h_prev, q, q_prev = 1, 0, 0, 1
-    while True:
-        a = math.floor(x)
+    while den:
+        a, rest = divmod(num, den)
         h, h_prev, q, q_prev = a * h + h_prev, h, a * q + q_prev, q
         if q > max_denominator:
             return
         yield Fraction(h, q)
-        if x == a:
-            return
-        x = 1 / (x - a)
+        num, den = den, rest
 
 
 def _log_derivative(coeffs, z: complex) -> complex:
@@ -93,14 +79,21 @@ def _log_derivative(coeffs, z: complex) -> complex:
 
 
 def _polished(ints, x: float) -> Fraction:
-    """x after Newton steps at 50 digits on f = sum_i ints[i] t**i.
+    """x after Newton steps on f = sum_i ints[i] t**i, near enough a rational
+    root a / b of f to have a / b among its convergents.
 
-    A float root is good to about 1e-16 relative; from there each step
-    squares the error of a simple root, so four reach the 50 digits.
+    Legendre's bound |x - a/b| < 1 / (2 b**2), with b dividing the leading
+    coefficient, takes 2 digits(lead) digits past the point, and the sums
+    lose to cancellation the digits of sum_i |ints[i]| (|x| + 1)**deg, the
+    most their terms reach; the steps run at both together plus a margin.
+    From a float root, good to about 16 digits, each step doubles the digits
+    of a simple root.
     """
-    with localcontext(_WIDE):
+    bits = 2 * abs(ints[-1]).bit_length() + sum(map(abs, ints)).bit_length()
+    prec = int(bits * math.log10(2) + (len(ints) - 1) * math.log10(abs(x) + 1)) + 20
+    with localcontext(Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         x = Decimal(x)
-        for _ in range(4):
+        for _ in range(prec.bit_length() + 4):
             f = df = Decimal(0)
             for c in reversed(ints):
                 f, df = f * x + c, df * x + f
@@ -183,17 +176,28 @@ def _squarefree_factors(p: Polynomial):
     return factors
 
 
+def _numeric_roots(f: Polynomial) -> list:
+    """f's roots from the Aberth-Ehrlich iteration, near-real ones made real."""
+    roots = [complex(z.real) if abs(z.imag) <= 1e-10 * abs(z) else z for z in _aberth_roots(f)]
+    if len(set(roots)) != f.degree:  # f is squarefree: its roots are distinct
+        raise RootFindingError(f"{len(set(roots))} distinct roots for a factor of degree {f.degree}")
+    return roots
+
+
 def polynomial_roots(p: Polynomial):
     """All roots of an exact polynomial, with their multiplicities.
 
     The root 0 is split off as x**v; Yun's squarefree decomposition of the
     rest (over the exact poly_gcd) then fixes every multiplicity: each root
     of the factor f in p = c * prod f**m has multiplicity exactly m.  The
-    rational-root test finds a factor's rational roots, which exact
-    division removes; the simple roots left come from an Aberth-Ehrlich
-    iteration.  Past 10**12, where the divisors are too many to try, the
-    test runs instead on the continued-fraction convergents of each real
-    numeric root.
+    simple roots of f come from an Aberth-Ehrlich iteration, and each real
+    one, polished past Legendre's bound, is tested for the rational root
+    r / q it approximates: that is among its continued-fraction convergents,
+    with r dividing f's constant and q its leading coefficient (the rational
+    root theorem, on f with integer coefficients).  A convergent counts only
+    within 1 / (2 |leading|) of the polished root, nearer than any other
+    rational root lies, and only if f vanishes there exactly; exact division
+    then removes it, and the numeric roots come from the exact quotient.
     Exact roots come first, sorted; then the complex floats, sorted by
     (real, imag).  Raises ValueError for the zero polynomial or inexact
     coefficients, and RootFindingError when the iteration does not settle
@@ -208,32 +212,21 @@ def polynomial_roots(p: Polynomial):
     numeric = []
     for f, m in _squarefree_factors(Polynomial(p.coeffs[v:])):
         ints, _ = linalg.clear_denominators(f.coeffs)
-        enumerated = abs(ints[0]) <= 10**12 and abs(ints[-1]) <= 10**12
-        if enumerated:
-            pairs = [(num, den) for num in _divisors(ints[0]) for den in _divisors(ints[-1])]
-            for cand in sorted({Fraction(s * num, den) for num, den in pairs for s in (1, -1)}):
-                if f(cand) == 0:
+        lead, degree = abs(ints[-1]), f.degree
+        roots = _numeric_roots(f)
+        for z in [z for z in roots if not z.imag]:
+            x = _polished(ints, z.real)
+            for cand in _convergents(x, lead):
+                r, q = cand.numerator, cand.denominator
+                divides = r and ints[0] % r == 0 and lead % q == 0
+                # rational roots a/b != c/d of f have b d | lead, so lie at least
+                # 1 / lead apart: only the one x approximates is this near
+                if divides and 2 * lead * abs(cand - x) <= 1 and f(cand) == 0:
                     f = f // Polynomial((-cand, 1))  # exact: the remainder is f(cand) = 0
                     exact.append((cand, m))
-        if f.degree < 1:
-            continue
-        roots = _aberth_roots(f)
-        roots = [complex(z.real) if abs(z.imag) <= 1e-10 * abs(z) else z for z in roots]
-        if len(set(roots)) != f.degree:  # f is squarefree: its roots are distinct
-            raise RootFindingError(f"{len(set(roots))} distinct roots for a factor of degree {f.degree}")
-        if not enumerated:
-            # too many divisors to try: a rational root r / q has r dividing the
-            # constant and q the leading coefficient, and any x within
-            # 1 / (2 q**2) of it has r / q among its convergents (Legendre), so
-            # test those of each real root polished past the float precision
-            for z in [z for z in roots if not z.imag]:
-                for cand in _convergents(_polished(ints, z.real), abs(ints[-1])):
-                    r, q = cand.numerator, cand.denominator
-                    if r and ints[0] % r == 0 and ints[-1] % q == 0 and f(cand) == 0:
-                        f = f // Polynomial((-cand, 1))
-                        exact.append((cand, m))
-                        roots.remove(z)
-                        break
+                    break
+        if f.degree < degree:
+            roots = _numeric_roots(f) if f.degree >= 1 else []
         numeric += [(z, m) for z in roots]
     exact.sort(key=lambda rm: rm[0])
     numeric.sort(key=lambda rm: (rm[0].real, rm[0].imag))

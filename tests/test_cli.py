@@ -418,7 +418,7 @@ class TestBinetCommand:
         doc = json.loads(out)
         assert doc["status"] == "ok" and float(doc["payload"]["reconstruction"]) < 1e-12
         # b_n = 10^(13 n) took the numeric tier too, with an absolute error of
-        # 6.828e+244; its rational root is now found past the divisor search
+        # 6.828e+244; its rational root is now a convergent of the polished root
         code, out, _ = run(capsys, "binet", "10000000000000", "--initial", "10000000000000", "--json")
         assert code == 0 and json.loads(out)["payload"]["reconstruction"] == "exact"
         code, out, _ = run(capsys, "binet", "1,1", "--initial", "1,1")
@@ -433,8 +433,8 @@ class TestBinetCommand:
         doc = json.loads(out)
         assert code == 0 and doc["status"] == "ok"
         assert float(doc["payload"]["reconstruction"]) < 1e-8
-        # roots 1 +- 10^-8 are rational, with coefficients past the divisor
-        # search: both are found exactly, so the power sum is exact
+        # roots 1 +- 10^-8 are rational: each is a convergent of its polished
+        # numeric root, both are found exactly, so the power sum is exact
         coefficients = "-9999999999999999/10000000000000000,2"
         argv = ("binet", "--initial", "1,2", "--terms", "1000", "--json", "--", coefficients)
         code, out, _ = run(capsys, *argv)

@@ -135,8 +135,8 @@ class TestPolynomialRoots:
 
     @pytest.mark.parametrize("root", [Fraction(10**13), Fraction(3 * 10**13, 7)])
     def test_rational_root_past_the_divisor_search(self, root):
-        # coefficients past 10**12 skip the divisor enumeration; the rational
-        # nearest the numeric root is tested exactly instead
+        # large coefficients: the rational root is a convergent of the
+        # polished numeric root, and is tested exactly
         f = Polynomial((-root.numerator, root.denominator))
         assert polynomial_roots(f) == [(root, 1)]
         # with a double root and a complex pair beside it
@@ -148,7 +148,8 @@ class TestPolynomialRoots:
     def test_close_rational_roots_past_the_divisor_search(self):
         # 10000001/10^7 and 10000003/10^7: the product's leading coefficient
         # is 10^14, and a fraction with denominator <= 10^14 lies nearer each
-        # float root than the root itself, so only a convergent finds it
+        # float root than the root itself, so only a convergent of the root
+        # polished past Legendre's bound finds it
         f = Polynomial((-(10**7 + 1), 10**7)) * Polynomial((-(10**7 + 3), 10**7))
         roots = polynomial_roots(f)
         assert roots == [(Fraction(10**7 + 1, 10**7), 1), (Fraction(10**7 + 3, 10**7), 1)]
@@ -160,6 +161,83 @@ class TestPolynomialRoots:
         # a complex 1e13 would compare equal, so the types are checked too
         assert (poly, root) == (Polynomial((1,)), Fraction(10**13))
         assert isinstance(root, Fraction) and poly.is_exact()
+
+    def test_a_convergent_that_is_another_root_is_passed_over(self):
+        # (3x - 1)(2x - 1)(x - 10^13): 1/2 is a convergent of the numeric root
+        # 1/3 and a root of f, but lies 1/6 from it, past 1 / (2 * 6); taking
+        # it there lost 1/3 and kept a float 0.5 beside the exact 1/2
+        p = Polynomial((-1, 3)) * Polynomial((-1, 2)) * Polynomial((-(10**13), 1))
+        roots = polynomial_roots(p)
+        assert roots == [(Fraction(1, 3), 1), (Fraction(1, 2), 1), (Fraction(10**13), 1)]
+        assert all(isinstance(r, Fraction) for r, _ in roots)
+        monic = p * Fraction(1, p.leading)
+        rec = LinearRecurrence(tuple(-c for c in monic.coeffs[:-1]))
+        ps = binet_form(rec, (1, 2, 3))
+        assert ps.is_exact
+        assert [evaluate_powersum(ps, n) for n in (1, 2, 3)] == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "lead, other",
+        [
+            (7**30, Polynomial((-2, 0, 1))),  # 2 * 25 digits: past a fixed 50-digit polish
+            (10**200 + 7, Polynomial((-3, 0, 1)) * Polynomial((1, 1, 1))),
+        ],
+        ids=["7^30", "10^200+7"],
+    )
+    def test_rational_root_with_a_huge_denominator(self, lead, other):
+        root = Fraction(lead + 1, lead)
+        roots = polynomial_roots(Polynomial((-(lead + 1), lead)) * other)
+        assert roots[0] == (root, 1) and isinstance(roots[0][0], Fraction)
+        assert len(roots) == 1 + other.degree
+        assert not any(isinstance(r, Fraction) for r, _ in roots[1:])
+
+    def test_no_rational_point_is_evaluated_without_a_real_root(self, monkeypatch):
+        # 735134400 (1 + x^2) + x has only complex roots, so no candidate is
+        # tried; a search over the quotients of the 1,344 divisors of
+        # 735134400 evaluated f at 73,710 points, for 6 s
+        calls = []
+        call = Polynomial.__call__
+
+        def counting(self, x):
+            if isinstance(x, Fraction):
+                calls.append(x)
+            return call(self, x)
+
+        monkeypatch.setattr(Polynomial, "__call__", counting)
+        roots = polynomial_roots(Polynomial((735134400, 1, 735134400)))
+        assert calls == []
+        assert [m for _, m in roots] == [1, 1] and all(complex(r).imag for r, _ in roots)
+
+    def test_constructed_rational_roots_come_back_exact(self):
+        # products of known rational linear factors, some squared or cubed,
+        # times random integer factors: the constructed roots are the oracle,
+        # with a multiplicity raised by any integer factor that shares them
+        rng = random.Random(28)
+        x = Polynomial.x()
+        for _ in range(300):
+            built = {}
+            for _ in range(rng.randint(1, 4)):
+                r = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**4))
+                built[r] = built.get(r, 0) + rng.choice((1, 1, 2, 3))
+            rest = Polynomial((1,))
+            for _ in range(rng.randint(0, 2)):
+                coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))]
+                rest = rest * Polynomial(coeffs + [rng.choice((-3, -2, -1, 1, 2, 3))])
+            p = rest
+            for r, m in built.items():
+                p = p * Polynomial((-r.numerator, r.denominator)) ** m
+            roots = polynomial_roots(p)
+            exact = {r: m for r, m in roots if isinstance(r, Fraction)}
+            for r, m in built.items():
+                while rest(r) == 0:
+                    rest, m = rest // (x - r), m + 1
+                assert exact.get(r) == m
+            assert all(p(r) == 0 for r in exact)
+            # documented order: exact roots sorted, then floats by (real, imag)
+            assert list(exact) == sorted(exact) and [r for r, _ in roots[: len(exact)]] == list(exact)
+            numeric = [r for r, _ in roots[len(exact) :]]
+            assert numeric == sorted(numeric, key=lambda z: (z.real, z.imag))
+            assert sum(m for _, m in roots) == p.degree
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
