@@ -25,6 +25,12 @@ polynomial certificate's and the gf degrees.  Engines and validators (after
 their consistency checks) refuse an order past it with ResourceLimitError;
 validate_document refuses a past-cap candidate, and any list longer than
 LIST_CAP = 3 * ORDER_CAP + 1, on the parsed JSON before reading a field.
+Every integer a document holds fits the interpreter's int/str conversion
+limit, and so does every common denominator a validator or a candidate
+link clears from it (_check_denominators): bundle_to_document refuses a
+bundle past either with ResourceLimitError, and validate_document, which
+re-writes the bundle it read before any validator runs, refuses the same
+documents, so many short rationals cannot make one huge integer.
 
 Bundles serialize to canonical JSON (sorted keys, fixed separators) with a
 sha256 digest over the payload.  One table, _FORMAT, gives each
@@ -42,11 +48,10 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from . import linalg
 from .errors import CertificateError, ResourceLimitError
-from .gfseries import _expansion, linear_factor_product, Polynomial, rational_gf
+from .gfseries import linear_factor_product, Polynomial, rational_gf
 from .recurrence import LinearRecurrence, normalize_coprime
 from .schema import canonical_json as _canonical_json, SCHEMA_TAG
 from .seqcore import _term_ratio, catalan_closed, catalan_is_odd
@@ -119,6 +124,37 @@ def _shown(value) -> str:
         return str(value)
     except ValueError:  # an integer past sys.get_int_max_str_digits()
         return "a number too long to print"
+
+
+def _digit_limit() -> int:
+    """The most decimal digits an integer in a document may have: the
+    interpreter's int/str conversion limit, 0 for no limit."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+def _fits(value: int, limit: int) -> bool:
+    """Whether value has at most `limit` decimal digits (0: no limit)."""
+    # a value below 2**(3 * limit) < 10**limit always fits
+    return not limit or value.bit_length() <= 3 * limit or abs(value) < 10**limit
+
+
+def _check_common_denominator(values, what: str) -> None:
+    """ResourceLimitError naming `what` when the lcm of the rationals'
+    denominators has more digits than a document's integers may.  The lcm
+    is taken one denominator at a time and the check stops as soon as it is
+    past the limit, so it never grows much beyond it."""
+    limit = _digit_limit()
+    if not limit:
+        return
+    scale = 1
+    for x in values:
+        scale = math.lcm(scale, x.denominator)
+        if not _fits(scale, limit):
+            raise ResourceLimitError(
+                f"{what}: a common denominator has more than {limit} digits, past the "
+                f"int/str conversion limit documents are read with "
+                f"(sys.get_int_max_str_digits() = {limit})"
+            )
 
 
 def _candidate_rational(candidate: LinearRecurrence):
@@ -404,7 +440,13 @@ def validate_gf(cert: GfMismatchCertificate) -> None:
     one at the stored index, with the stored values.
 
     p/q is expanded as stored, unreduced (the candidate link compares it
-    with the candidate's reduced pair), up to its first departure from C_n.
+    with the candidate's reduced pair), up to its first departure from C_n,
+    in integers.  p and q are cleared once to P and Q over one common
+    denominator (validate_document bounds its digits first).  While
+    s_1..s_{m-1} equal C_1..C_{m-1}, the inversion recurrence gives
+    Q_0^2 s_m = Q_0 (P_m - sum_{1<=i<m} Q_i C_{m-i}) - Q_m P_0, which is
+    compared with Q_0^2 C_m (s_0 = P_0/Q_0 is never compared); only the
+    departing s_m is built as a Fraction.
     The index is bounded before anything is expanded.  With q(0) != 0,
     e = deg q and d = max(deg p, e), a series matching C_1..C_{2d+1} would
     satisfy the recurrence of q from index d + 1 on, so the order-e Catalan
@@ -420,10 +462,20 @@ def validate_gf(cert: GfMismatchCertificate) -> None:
     if not 1 <= n <= 2 * degree + 1:
         raise CertificateError(f"mismatch index {n} outside 1..{2 * degree + 1}")
     _check_order_cap("gf degree", degree)
+    ints, _ = linalg.clear_denominators(p.coeffs + q.coeffs)
+    big_p, (q0, *q_tail) = ints[: len(p.coeffs)], ints[len(p.coeffs) :]
+    p0, q0_squared = big_p[0] if big_p else 0, q0 * q0
     catalan = _catalan_table(1, n)
-    series = islice(_expansion(p, q), 1, n + 1)
-    departures = ((i, s) for i, (s, c) in enumerate(zip(series, catalan), 1) if s != c)
-    first, s = next(departures, (None, None))
+    first = s = None
+    for m, c in enumerate(catalan, 1):
+        window = catalan[max(0, m - 1 - len(q_tail)) : m - 1]  # C_{m-e}..C_{m-1}, e = deg q
+        tail = sum(map(operator.mul, q_tail, reversed(window)))
+        p_m = big_p[m] if m < len(big_p) else 0
+        q_m = q_tail[m - 1] if m <= len(q_tail) else 0
+        scaled = q0 * (p_m - tail) - q_m * p0  # Q_0^2 s_m
+        if scaled != q0_squared * c:
+            first, s = m, Fraction(scaled, q0_squared)
+            break
     if first != n:
         found = f"it leaves C_{first} first" if first else f"it matches C_1..C_{n}"
         raise CertificateError(f"mismatch index {n} is not the series' first departure: {found}")
@@ -477,9 +529,8 @@ def _written(value: int, field: str) -> int:
     _load_document reads with the same limit.  Indices and counts (orders,
     offsets, window starts, exponents) are bounded by the work that found
     them and are not checked."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    # a value below 2**(3 * limit) < 10**limit always fits
-    if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+    limit = _digit_limit()
+    if not _fits(value, limit):
         raise ResourceLimitError(
             f"certificate field {field} holds an integer of more than {limit} digits, "
             f"past the int/str conversion limit documents are read with "
@@ -599,7 +650,31 @@ def _payload_digest(payload: dict) -> str:
     return hashlib.sha256(_canonical_json(stripped).encode("utf-8")).hexdigest()
 
 
+def _check_denominators(bundle: RefutationBundle) -> None:
+    """_check_common_denominator on every list of rationals that a validator
+    or a candidate link of the bundle clears to integers: the candidate's
+    coefficients for a parity or a gf certificate (normalize_coprime,
+    rational_gf), a polynomial certificate's p and its coefficients, and a
+    gf certificate's p and q together.  A Hankel certificate clears none.
+    The writer and the reader run this same check, so no document the
+    writer writes is refused by it."""
+    certificates = bundle.certificates
+    if any(isinstance(c, (ParityCertificate, GfMismatchCertificate)) for c in certificates):
+        _check_common_denominator(bundle.candidate.coefficients, "candidate coefficients")
+    for cert in certificates:
+        if isinstance(cert, PolynomialCertificate):
+            _check_common_denominator(cert.polynomial.coeffs, "polynomial certificate p")
+            _check_common_denominator(cert.coefficients, "polynomial certificate coefficients")
+        elif isinstance(cert, GfMismatchCertificate):
+            pair = cert.numerator.coeffs + cert.denominator.coeffs
+            _check_common_denominator(pair, "gf certificate p and q")
+
+
 def bundle_to_document(bundle: RefutationBundle) -> dict:
+    """The bundle's document.  ResourceLimitError for a bundle holding an
+    integer (_written) or, after every field is written, a common
+    denominator (_check_denominators) with more digits than a document may
+    have, because validate_document refuses the same."""
     doc = {
         "schema": SCHEMA_TAG,
         "candidate": {
@@ -610,6 +685,7 @@ def bundle_to_document(bundle: RefutationBundle) -> dict:
         },
         "certificates": [certificate_to_fields(c) for c in bundle.certificates],
     }
+    _check_denominators(bundle)
     doc["sha256"] = _payload_digest(doc)
     return doc
 
@@ -678,8 +754,11 @@ def validate_document(doc: dict) -> RefutationBundle:
     actually refers to the document's candidate recurrence.  Raises
     CertificateError on the first failure, and ResourceLimitError on a
     document with a candidate or a list past its cap (checked on the JSON,
-    before any field is read) or a consistent one naming an order past
-    ORDER_CAP.
+    before any field is read), on one that bundle_to_document would not
+    write because a common denominator it clears has more digits than a
+    document's integers may (checked when the bundle is re-written, before
+    any validator runs, so no validator or link clears it), or on a
+    consistent one naming an order past ORDER_CAP.
     """
     if not isinstance(doc, dict):
         raise CertificateError("document must be a JSON object")
@@ -703,7 +782,7 @@ def validate_document(doc: dict) -> RefutationBundle:
     order = doc["candidate"].get("order")
     if type(order) is not int or order != bundle.candidate.order:
         raise CertificateError("candidate order does not match its coefficient list")
-    if bundle_to_document(bundle)["sha256"] != doc["sha256"]:
+    if bundle_to_document(bundle)["sha256"] != doc["sha256"]:  # runs _check_denominators
         raise CertificateError(
             "document is not in its written form: a field is unknown or not canonical"
         )

@@ -18,7 +18,9 @@ powersum.RECONSTRUCTION_TOLERANCE (relative), 2 on usage or data errors
 float range) and on inputs past a resource cap (ResourceLimitError: a
 --ballot-cap above seqcore.BALLOT_CAP_MAX, an order above
 certify.ORDER_CAP: a refute candidate's or --max-order, or any a document
-given to validate names, or a list in that document past certify.LIST_CAP).
+given to validate names, a list in that document past certify.LIST_CAP, or
+a common denominator that a validator would clear from a document, read or
+about to be written, with more digits than sys.get_int_max_str_digits()).
 
 Start-up imports only what parsing and JSON output need (seqcore, errors,
 schema); each handler imports its own engines.  `catalan` loads nothing

@@ -440,8 +440,12 @@ def rational_gf(rec: "LinearRecurrence", initial_terms) -> RationalFunction:
     """p/q whose series sum_{n>=1} b_n x**n matches the recurrence's sequence.
 
     q(x) = 1 - a_{k-1} x - ... - a_0 x**k, and p = q * B truncated at
-    degree k (the recurrence kills every higher coefficient); the result is
-    re-expanded over 3k + 10 terms as a self-check.
+    degree k (the recurrence kills every higher coefficient).  The pair is
+    built in integers: q and B = 0 + b_1 x + ... + b_k x**k are each cleared
+    once to integers over their common denominators L_q and L_B, so p is
+    the convolution of the two integer lists divided by L_q L_B, and
+    RationalFunction reduces P / (L_B Q), the same p/q, to lowest terms.
+    The result is re-expanded over 3k + 10 terms as a self-check.
     """
     from .recurrence import iterate_recurrence  # only the self-check needs recurrence
 
@@ -451,9 +455,11 @@ def rational_gf(rec: "LinearRecurrence", initial_terms) -> RationalFunction:
         raise ValueError(f"need {k} initial terms, got {len(initial)}")
     if not rec.is_rational():
         raise ValueError("rational generating functions need rational coefficients")
-    q = Polynomial((Fraction(1),) + tuple(-c for c in reversed(rec.coefficients)))
-    b_prefix = (Fraction(0),) + tuple(Fraction(t) for t in initial)
-    rf = RationalFunction(Polynomial(convolve(q.coeffs, b_prefix, k + 1)), q)
+    q_ints, _ = linalg.clear_denominators((1,) + tuple(-c for c in reversed(rec.coefficients)))
+    b_ints, b_scale = linalg.clear_denominators((0,) + tuple(Fraction(t) for t in initial))
+    rf = RationalFunction(
+        Polynomial(convolve(q_ints, b_ints, k + 1)), Polynomial([b_scale * c for c in q_ints])
+    )
     depth = 3 * k + 10
     expansion = expand_rational(rf, depth)
     expected = iterate_recurrence(rec, initial, depth)

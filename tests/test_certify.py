@@ -13,10 +13,12 @@ import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 import cfinite.certify as certify_module
+import cfinite.gfseries as gfseries_module
 from cfinite import linalg
 from cfinite.certify import (
     bundle_to_document,
@@ -43,9 +45,10 @@ from cfinite.certify import (
     validate_serialized,
 )
 from cfinite.errors import CertificateError, ResourceLimitError
-from cfinite.gfseries import expand_rational, rational_gf, RationalFunction
+from cfinite.gfseries import _expansion, expand_rational, rational_gf, RationalFunction
 from cfinite.powersum import Polynomial
 from cfinite.recurrence import guess_recurrence, hankel_nonsingular_witness, LinearRecurrence
+from cfinite.schema import SCHEMA_TAG
 from cfinite.seqcore import catalan_closed, catalan_convolution
 
 TIMES_FOUR = LinearRecurrence((4,))
@@ -355,6 +358,160 @@ def forged_polynomial_text(k: int, extra_degree=0) -> str:
     forged = forge_polynomial(parse_bundle(text).certificates[1], extra_degree)
     fields = certificate_to_fields(forged)
     return _forge_fields(text, lambda doc: doc["certificates"].__setitem__(1, fields))
+
+
+def reference_validate_gf(cert: GfMismatchCertificate) -> None:
+    """validate_gf as it was before its integer check: the stored p/q
+    expanded in Fractions by gfseries._expansion up to its first departure
+    from C_n.  The oracle for the integer-residual check."""
+    p, q = cert.numerator, cert.denominator
+    if q(0) == 0:
+        raise CertificateError("denominator must be nonzero at 0")
+    degree = max(p.degree, q.degree)
+    n = cert.mismatch_index
+    if not 1 <= n <= 2 * degree + 1:
+        raise CertificateError(f"mismatch index {n} outside 1..{2 * degree + 1}")
+    certify_module._check_order_cap("gf degree", degree)
+    catalan = [catalan_closed(i) for i in range(1, n + 1)]
+    series = islice(_expansion(p, q), 1, n + 1)
+    departures = ((i, s) for i, (s, c) in enumerate(zip(series, catalan), 1) if s != c)
+    first, s = next(departures, (None, None))
+    if first != n:
+        found = f"it leaves C_{first} first" if first else f"it matches C_1..C_{n}"
+        raise CertificateError(f"mismatch index {n} is not the series' first departure: {found}")
+    if s != cert.series_value:
+        raise CertificateError(
+            f"stored series value {cert.series_value} != recomputed {certify_module._shown(s)}"
+        )
+    if catalan[-1] != cert.catalan_value:
+        raise CertificateError(f"stored Catalan value {cert.catalan_value} != exact {catalan[-1]}")
+
+
+def _refusal(check, cert) -> str | None:
+    """check(cert)'s CertificateError message, None when it accepts."""
+    try:
+        check(cert)
+    except CertificateError as exc:
+        return str(exc)
+    return None
+
+
+# Orders of the gf oracle sweep: every one-digit forgery of the certificates
+# through order 8 is checked, and a seeded sample of 30 above it.
+GF_SWEEP_ORDERS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 24, 32, 48, 64)
+GF_FORGED_FIELDS = ("numerator", "denominator", "mismatch_index", "series_value", "catalan_value")
+
+
+@functools.cache
+def gf_sweep() -> tuple:
+    """refute_by_gf's certificate of one seeded candidate per GF_SWEEP_ORDERS
+    order, with integer, small rational and 1/(10^20 + j) coefficients."""
+    rng = random.Random(47)
+    kinds = (
+        lambda: Fraction(rng.randint(-9, 9)),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(2, 6)),
+        lambda: Fraction(1, 10**20 + rng.randrange(2)),
+    )
+    return tuple(
+        refute_by_gf(LinearRecurrence(tuple(rng.choice(kinds)() for _ in range(k))))
+        for k in GF_SWEEP_ORDERS
+    )
+
+
+def _digit_positions(fields) -> list:
+    """(field, entry, position) of every digit in the gf fields GF_FORGED_FIELDS."""
+    return [
+        (name, i, at)
+        for name in GF_FORGED_FIELDS
+        for i, text in enumerate(fields[name] if isinstance(fields[name], list) else [str(fields[name])])
+        for at, ch in enumerate(text)
+        if ch.isdigit()
+    ]
+
+
+def _forge_gf_digit(fields, name, i, at, rng):
+    """The certificate read from `fields` with that digit changed to another
+    drawn from rng; None when the reader refuses the edit (a zero denominator)."""
+    value = fields[name]
+    texts = list(value) if isinstance(value, list) else [str(value)]
+    text = texts[i]
+    texts[i] = f"{text[:at]}{(int(text[at]) + rng.randint(1, 9)) % 10}{text[at + 1 :]}"
+    edit = texts if isinstance(value, list) else type(value)(texts[0])
+    try:
+        return certificate_from_fields({**fields, name: edit})
+    except CertificateError:
+        return None
+
+
+def _wide_denominators(count: int) -> tuple:
+    """count coefficients 1/d over distinct odd d, each 300 digits short of
+    the int/str conversion limit (4,000 digits by default), so every one fits
+    a document while their common denominator has about count times as many."""
+    base = 10 ** (sys.get_int_max_str_digits() - 301)
+    return tuple(Fraction(1, base + 2 * j + 1) for j in range(count))
+
+
+def _constant_polynomial_certificate(coefficients) -> PolynomialCertificate:
+    """A polynomial certificate whose p is the constant p(-k): consistent up
+    to the identity that ties p to the coefficients."""
+    value = Fraction(polynomial_certificate_value(len(coefficients)))
+    return PolynomialCertificate(
+        len(coefficients), coefficients, Polynomial((value,)), value, 1, Fraction(1)
+    )
+
+
+def forged_document(bundle: RefutationBundle) -> dict:
+    """The bundle's document as a forger writes it by hand, digest and all:
+    bundle_to_document's fields without its common-denominator check."""
+    doc = {
+        "schema": SCHEMA_TAG,
+        "candidate": {
+            "order": bundle.candidate.order,
+            "coefficients": [str(c) for c in bundle.candidate.coefficients],
+        },
+        "certificates": [certificate_to_fields(c) for c in bundle.certificates],
+    }
+    doc["sha256"] = certify_module._payload_digest(doc)
+    return doc
+
+
+# One-certificate bundles whose rationals each fit a document, but some
+# common denominator has more digits than a document's integers may;
+# (maker, name in the refusal).  The candidate one (64 coefficients, a
+# 251 KiB document) took 28.5 s in normalize_coprime before it was refused,
+# and the cost grew about 8x per doubling of the order.
+DENOMINATOR_CAP_BUNDLES = {
+    "candidate": (
+        lambda: RefutationBundle(
+            LinearRecurrence(_wide_denominators(64)), (refute_by_parity(TIMES_FOUR),)
+        ),
+        "candidate coefficients",
+    ),
+    "polynomial_coefficients": (
+        lambda: RefutationBundle(
+            TIMES_FOUR, (_constant_polynomial_certificate(_wide_denominators(8)),)
+        ),
+        "polynomial certificate coefficients",
+    ),
+    "polynomial_p": (
+        lambda: RefutationBundle(
+            TIMES_FOUR,
+            (
+                dataclasses.replace(
+                    refute_by_polynomial(TIMES_FOUR), polynomial=Polynomial(_wide_denominators(4))
+                ),
+            ),
+        ),
+        "polynomial certificate p",
+    ),
+    "gf_p_and_q": (
+        lambda: RefutationBundle(
+            TIMES_FOUR,
+            (GfMismatchCertificate(Polynomial(_wide_denominators(4)), Polynomial((1,)), 1, 0, 1),),
+        ),
+        "gf certificate p and q",
+    ),
+}
 
 
 class TestParityEngine:
@@ -869,6 +1026,50 @@ class TestGfEngine:
                 assert first == 2 * d + 1
         assert short_or_reduced >= 50
 
+    def test_integer_check_matches_the_fraction_expansion(self):
+        # verdicts and messages of validate_gf and of the Fraction expansion
+        # it replaced, on genuine certificates and their one-digit forgeries
+        rng = random.Random(53)
+        refusals = set()
+        for k, cert in zip(GF_SWEEP_ORDERS, gf_sweep()):
+            assert _refusal(certify_module.validate_gf, cert) is None
+            assert _refusal(reference_validate_gf, cert) is None
+            fields = certificate_to_fields(cert)
+            positions = _digit_positions(fields)
+            if k > 8:
+                positions = rng.sample(positions, 30)
+            for position in positions:
+                forged = _forge_gf_digit(fields, *position, rng)
+                if forged is None:
+                    continue
+                refusal = _refusal(certify_module.validate_gf, forged)
+                assert refusal == _refusal(reference_validate_gf, forged)
+                refusals.add(refusal and re.sub(r"[-/\d]+", "N", refusal))
+        assert refusals == {
+            None,  # a leading digit turned to 0
+            "denominator must be nonzero at N",
+            "mismatch index N outside N..N",
+            "mismatch index N is not the series' first departure: it leaves C_N first",
+            "mismatch index N is not the series' first departure: it matches C_N..C_N",
+            "stored series value N != recomputed N",
+            "stored Catalan value N != exact N",
+        }
+
+    def test_validator_expands_no_fraction_series(self, monkeypatch):
+        # it expanded the stored p/q in Fractions through gfseries._expansion
+        certs = (refute_by_gf(TIMES_FOUR),) + gf_sweep()  # the producer's self-check expands
+        calls = []
+
+        def counted(p, q):
+            calls.append((p, q))
+            return _expansion(p, q)
+
+        monkeypatch.setattr(gfseries_module, "_expansion", counted)
+        monkeypatch.setattr(certify_module, "_expansion", counted, raising=False)
+        for cert in certs:
+            validate_certificate(cert)
+        assert calls == []
+
     def test_validator_rejects_mutations(self):
         cert = refute_by_gf(TIMES_FOUR)
         bad = [
@@ -1010,6 +1211,72 @@ class TestOrderCap:
         # the window of order ORDER_CAP ends at C_5120, past the old residual cap C_5000
         cert = refute_by_parity(LinearRecurrence((1,) * ORDER_CAP))
         assert cert.window_start + ORDER_CAP == 5120 and cert.residual is not None
+
+
+class TestDenominatorCap:
+    @pytest.mark.parametrize("name", sorted(DENOMINATOR_CAP_BUNDLES))
+    def test_wide_common_denominator_refused_before_normalize_coprime(self, monkeypatch, name):
+        make, what = DENOMINATOR_CAP_BUNDLES[name]
+        doc = forged_document(make())
+        calls = []
+
+        def refuse(rec):
+            calls.append(rec)
+            raise AssertionError("normalize_coprime ran on the document")
+
+        monkeypatch.setattr(certify_module, "normalize_coprime", refuse)
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ResourceLimitError, match=f"^{what}: a common denominator has more than {limit} digits"):
+            validate_document(doc)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", sorted(DENOMINATOR_CAP_BUNDLES))
+    def test_writer_refuses_what_the_validator_refuses(self, name):
+        make, what = DENOMINATOR_CAP_BUNDLES[name]
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ResourceLimitError, match=f"^{what}: a common denominator has more than {limit} digits"):
+            bundle_to_document(make())
+
+    def test_genuine_documents_pass_the_cap(self):
+        for k in (1, 8, 24):
+            bundle = genuine_bundle(k)
+            assert validate_document(bundle_to_document(bundle)) == bundle
+        # a Hankel certificate clears no denominator: its document is written
+        # and validated whatever the candidate's common denominator
+        bundle = RefutationBundle(BIG_DENOMINATORS, (refute_by_hankel(2),))
+        assert validate_document(bundle_to_document(bundle)) == bundle
+
+    def test_engines_keep_wide_candidates(self):
+        # the cap bounds documents: the engines and their self-checks still
+        # refute a candidate whose common denominator is past the limit, and
+        # only writing the certificate raises
+        wide = LinearRecurrence(_wide_denominators(2))
+        for cert in (refute_by_polynomial(wide), refute_by_gf(wide)):
+            validate_certificate(cert)
+            with pytest.raises(ResourceLimitError):
+                bundle_to_document(RefutationBundle(wide, (cert,)))
+
+    def test_cap_is_the_digit_limit(self, monkeypatch):
+        # the common denominator 3 * 10**5 has 6 digits
+        values = [Fraction(1, 10**5), Fraction(1, 3)]
+        monkeypatch.setattr(certify_module, "_digit_limit", lambda: 6)
+        certify_module._check_common_denominator(values, "values")
+        monkeypatch.setattr(certify_module, "_digit_limit", lambda: 5)
+        with pytest.raises(ResourceLimitError, match=r"^values: a common denominator has more than 5 digits"):
+            certify_module._check_common_denominator(values, "values")
+        monkeypatch.setattr(certify_module, "_digit_limit", lambda: 0)  # no limit
+        certify_module._check_common_denominator(_wide_denominators(8), "values")
+
+    def test_the_lcm_stops_at_the_cap(self, monkeypatch):
+        # past the cap no further lcm is taken, however many values follow
+        calls = []
+        lcm = math.lcm
+        monkeypatch.setattr(math, "lcm", lambda *args: calls.append(args) or lcm(*args))
+        monkeypatch.setattr(certify_module, "_digit_limit", lambda: 10)
+        values = [Fraction(1, 10**6 + 2 * j + 1) for j in range(100)]
+        with pytest.raises(ResourceLimitError):
+            certify_module._check_common_denominator(values, "values")
+        assert len(calls) == 2
 
 
 class TestSerialization:

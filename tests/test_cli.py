@@ -13,7 +13,9 @@ from cfinite.recurrence import guess_recurrence, LinearRecurrence
 from cfinite.seqcore import catalan_convolution, fibonacci
 from test_certify import (
     BIG_DENOMINATORS,
+    DENOMINATOR_CAP_BUNDLES,
     FORGERY_ORDERS,
+    forged_document,
     forged_polynomial_text,
     hankel_past_cap_text,
     HOLE_FORGERIES,
@@ -263,6 +265,16 @@ class TestRefuteCommand:
         code, _, err = run(capsys, "refute", coefficients, "--method", "parity")
         assert code == 2 and "sys.get_int_max_str_digits()" in err
 
+    def test_hankel_document_of_a_wide_candidate(self, capsys, tmp_path):
+        # a Hankel certificate clears no denominator, so its document is
+        # written and validated however wide the candidate's common denominator
+        coefficients = ",".join(str(c) for c in BIG_DENOMINATORS.coefficients)
+        path = tmp_path / "cert.json"
+        code, _, _ = run(capsys, "refute", coefficients, "--method", "hankel", "--output", str(path))
+        assert code == 0
+        code, _, _ = run(capsys, "validate", "--input", str(path))
+        assert code == 0
+
     @pytest.mark.parametrize("method", ["all", "hankel"])
     def test_max_order_below_the_candidate_order_is_an_error(self, capsys, method):
         # it exited 1: the Hankel certificate written did not cover order 2
@@ -359,6 +371,18 @@ class TestValidateCommand:
         assert code == 2
         doc = json.loads(out)
         assert doc["status"] == "error" and "past the cap" in doc["payload"]["message"]
+
+    @pytest.mark.parametrize("name", sorted(DENOMINATOR_CAP_BUNDLES))
+    def test_wide_common_denominator_is_an_error(self, capsys, tmp_path, name):
+        # these exited 1 as invalid, the candidate one after 28.5 s in
+        # normalize_coprime; a common denominator past the digit limit is a cap, exit 2
+        make, what = DENOMINATOR_CAP_BUNDLES[name]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(forged_document(make())))
+        code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["status"] == "error" and doc["payload"]["message"].startswith(what)
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", "--input", str(tmp_path / "nope.json"))

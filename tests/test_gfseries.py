@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import cfinite.recurrence as recurrence_module
 from cfinite.errors import InsufficientDataError
 from cfinite.gfseries import (
     catalan_gf,
+    convolve,
     degree_parity_check,
     expand_rational,
     pade_reconstruct,
@@ -18,7 +20,7 @@ from cfinite.gfseries import (
 )
 from cfinite.powersum import Polynomial
 from cfinite.recurrence import guess_recurrence, iterate_recurrence, LinearRecurrence
-from cfinite.seqcore import catalan_convolution, fibonacci, Sequence
+from cfinite.seqcore import catalan_convolution, fibonacci, QuadraticFieldElement, Sequence
 
 from test_recurrence import columns_read  # noqa: F401 (a fixture)
 
@@ -151,6 +153,61 @@ class TestRationalGf:
         rf = rational_gf(LinearRecurrence((2,)), (2,))
         assert rf.numerator == Polynomial((0, 2))
         assert rf.denominator == Polynomial((1, -2))
+
+    @staticmethod
+    def fraction_pair(rec, initial) -> RationalFunction:
+        """The pair as it was built in Fractions: q from the coefficients and
+        p = q * B truncated at degree k, reduced by RationalFunction."""
+        q = (Fraction(1),) + tuple(-c for c in reversed(rec.coefficients))
+        b_prefix = (Fraction(0),) + tuple(Fraction(t) for t in initial)
+        return RationalFunction(Polynomial(convolve(q, b_prefix, rec.order + 1)), Polynomial(q))
+
+    def test_integer_pair_matches_the_fraction_convolution(self):
+        rng = random.Random(29)
+        cases = [
+            (LinearRecurrence(()), ()),
+            (LinearRecurrence((Fraction(-3, 7),)), (Fraction(-5, 10**30 + 1),)),
+            (LinearRecurrence((Fraction(1, 10**40 + 3),)), (Fraction(10**40 + 9, -7),)),
+        ]
+        for _ in range(40):
+            k = rng.randint(0, 10)
+            coefficients = tuple(
+                Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 10**25 + 7))) for _ in range(k)
+            )
+            initial = tuple(
+                Fraction(rng.randint(-(10**6), 10**6), rng.choice((1, 7, 10**40 + 3, 10**40 + 9)))
+                for _ in range(k)
+            )
+            cases.append((LinearRecurrence(coefficients), initial))
+        # the constant 2: p = 2x(1 - x) and q = (1 - x)**2 share a root, so p/q reduces
+        reduced = (LinearRecurrence((Fraction(-1), Fraction(2))), (Fraction(2), Fraction(2)))
+        assert rational_gf(*reduced).denominator == Polynomial((1, -1))
+        cases.append(reduced)
+        for rec, initial in cases:
+            rf = rational_gf(rec, initial)
+            assert rf == self.fraction_pair(rec, initial)
+            coefficients = rf.numerator.coeffs + rf.denominator.coeffs
+            assert all(type(c) is Fraction for c in coefficients)
+
+    def test_value_errors_keep_their_messages(self):
+        with pytest.raises(ValueError, match=r"^need 2 initial terms, got 1$"):
+            rational_gf(FIB_REC, (1,))
+        surd = LinearRecurrence((QuadraticFieldElement(0, 1, 5),))
+        message = r"^rational generating functions need rational coefficients$"
+        with pytest.raises(ValueError, match=message):
+            rational_gf(surd, (1,))
+
+    def test_self_check_mismatch_keeps_its_message(self, monkeypatch):
+        iterate = recurrence_module.iterate_recurrence
+
+        def off_at_five(rec, initial, count):
+            terms = list(iterate(rec, initial, count))
+            terms[4] += 1
+            return terms
+
+        monkeypatch.setattr(recurrence_module, "iterate_recurrence", off_at_five)
+        with pytest.raises(ArithmeticError, match=r"^re-expansion mismatch at 5$"):
+            rational_gf(FIB_REC, (1, 1))
 
 
 class TestExpandRational:
