@@ -49,7 +49,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import gfseries, linalg
 from .errors import CertificateError, ResourceLimitError
 from .gfseries import linear_factor_product, Polynomial, rational_gf
 from .recurrence import LinearRecurrence, normalize_coprime
@@ -241,8 +241,8 @@ def summand_polynomial(order: int, j: int) -> Polynomial:
 
     [(x+k)_{k+1} / (x+j)] * ((x+k-1)_{k-j})**2 * (2x+2j-2)_{2j}, with the
     first factor built by omitting (x+j) from the product, never by
-    dividing values.  This is the from-factors reference: the engine builds
-    S_0 here and the rest by the recurrence in _summands.
+    dividing values.  This is the from-factors reference that the tests
+    compare refute_by_polynomial with; the engine builds no summand.
     """
     k = order
     first = linear_factor_product((i, 1) for i in range(k + 1) if i != j)
@@ -251,23 +251,13 @@ def summand_polynomial(order: int, j: int) -> Polynomial:
     return first * second * second * third
 
 
-def _summands(order: int):
-    """Coefficient lists of S_0, ..., S_k, from S_0 by the exact recurrence
-    S_j * (x+j) = 2(2x+2j-3) * S_{j-1}: one multiplication and one synthetic
-    division by (x+j) per step, O(k) integer operations each."""
-    s = list(summand_polynomial(order, 0).coeffs)
-    yield s
-    for j in range(1, order + 1):
-        c0, c1 = 4 * j - 6, 4  # 2(2x+2j-3) = c0 + c1*x
-        t = [c0 * s[0]] + [c0 * s[i] + c1 * s[i - 1] for i in range(1, len(s))] + [c1 * s[-1]]
-        q = [0] * (len(t) - 1)  # t = (x+j)*q + remainder
-        carry = 0
-        for i in range(len(t) - 1, 0, -1):
-            carry = q[i - 1] = t[i] - j * carry
-        if t[0] != j * carry:
-            raise ArithmeticError(f"(x+{j}) does not divide 2(2x+{2 * j - 3}) * S_{j - 1}")
-        s = q
-        yield s
+def _times_factor(coeffs: list, factor: tuple) -> list:
+    """coeffs times a short factor of small integers, both low order first."""
+    out = [factor[0] * c for c in coeffs] + [0] * (len(factor) - 1)
+    for i, f in enumerate(factor[1:], 1):
+        scaled = coeffs if f == 1 else [f * c for c in coeffs]
+        out[i : i + len(coeffs)] = map(operator.add, out[i : i + len(coeffs)], scaled)
+    return out
 
 
 def polynomial_certificate_value(order: int) -> int:
@@ -279,10 +269,13 @@ def polynomial_certificate_value(order: int) -> int:
 def refute_by_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
     """Refute via the polynomial identity; needs order k >= 1.
 
-    p = sum_j a_j S_j with a_k = -1.  The weights are cleared once to
-    integers w_j = L a_j, P = sum_j w_j S_j is summed in integers, and p is
-    P / L; S_0 comes from its factors (summand_polynomial) and each later
-    S_j from the one before by the exact recurrence in _summands.
+    p = sum_j a_j S_j with a_k = -1 (S_j as in summand_polynomial) is built
+    as P = L p in integers, from the weights w_j = L a_j cleared once.  With
+    X = x(x+1)...(x+k-1), S_0 = (x+1)...(x+k) X**2 and the ratio S_j (x+j) =
+    2(2x+2j-3) S_{j-1} give S_j = X**2 R_j (x+j+1)...(x+k), where R_0 = 1 and
+    R_j = R_{j-1} (4x+4j-6).  By Horner's rule P = X**2 U_k, with U_0 = w_0
+    and U_j = U_{j-1} (x+j) + w_j R_j: passes over integer lists with small
+    multipliers, never a product of two long lists.
 
     The witness n* is the first window with a nonzero Catalan residual,
     which is the first n >= 1 with p(n) != 0 (see validate_polynomial).
@@ -295,10 +288,14 @@ def refute_by_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
     if k < 1:
         raise ValueError("order 0 delegates to the parity engine")
     weights, scale = linalg.clear_denominators(list(coefficients) + [-1])
-    total = [0] * (3 * k + 1)  # every S_j has degree exactly 3k
-    for s, w in zip(_summands(k), weights):
+    ratio, total = [1], [weights[0]]  # R_0 and U_0
+    for j, w in enumerate(weights[1:], 1):
+        ratio = _times_factor(ratio, (4 * j - 6, 4))
+        total = _times_factor(total, (j, 1))
         if w:
-            total = [t + w * c for t, c in zip(total, s)]
+            total = [*map(operator.add, total, [w * r for r in ratio])]
+    for i in range(k):
+        total = _times_factor(total, (i * i, 2 * i, 1))  # (x+i)**2
     p = Polynomial(Fraction(t, scale) for t in total)
     witness, residual = _first_residual(candidate)
     value = Fraction(Polynomial(total)(-k), scale)
@@ -813,6 +810,8 @@ def _check_candidate_link(cert, candidate: LinearRecurrence) -> None:
                 f"hankel bound {cert.order_bound} below candidate order {candidate.order}"
             )
     elif isinstance(cert, GfMismatchCertificate):
-        implied = rational_gf(candidate, _catalan_table(1, candidate.order))
+        initial = tuple(_catalan_table(1, candidate.order))
+        implied = gfseries._rational_gf_pair(candidate, initial)
         if (cert.numerator, cert.denominator) != (implied.numerator, implied.denominator):
             raise CertificateError("stored p/q is not the candidate's generating function")
+        gfseries._check_rational_gf(implied, candidate, initial)  # only on a match

@@ -447,9 +447,11 @@ def rational_gf(rec: "LinearRecurrence", initial_terms) -> RationalFunction:
     RationalFunction reduces P / (L_B Q), the same p/q, to lowest terms.
     The result is re-expanded over 3k + 10 terms as a self-check.
     """
-    from .recurrence import iterate_recurrence  # only the self-check needs recurrence
-
     initial = tuple(initial_terms)
+    return _check_rational_gf(_rational_gf_pair(rec, initial), rec, initial)
+
+
+def _rational_gf_pair(rec: "LinearRecurrence", initial: tuple) -> RationalFunction:
     k = rec.order
     if len(initial) != k:
         raise ValueError(f"need {k} initial terms, got {len(initial)}")
@@ -457,10 +459,16 @@ def rational_gf(rec: "LinearRecurrence", initial_terms) -> RationalFunction:
         raise ValueError("rational generating functions need rational coefficients")
     q_ints, _ = linalg.clear_denominators((1,) + tuple(-c for c in reversed(rec.coefficients)))
     b_ints, b_scale = linalg.clear_denominators((0,) + tuple(Fraction(t) for t in initial))
-    rf = RationalFunction(
+    return RationalFunction(
         Polynomial(convolve(q_ints, b_ints, k + 1)), Polynomial([b_scale * c for c in q_ints])
     )
-    depth = 3 * k + 10
+
+
+def _check_rational_gf(rf: RationalFunction, rec: "LinearRecurrence", initial: tuple):
+    """rf; ArithmeticError if its series is not the recurrence's sequence to 3k + 10."""
+    from .recurrence import iterate_recurrence  # only the self-check needs recurrence
+
+    depth = 3 * rec.order + 10
     expansion = expand_rational(rf, depth)
     expected = iterate_recurrence(rec, initial, depth)
     for n in range(1, depth + 1):

@@ -14,6 +14,7 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -286,6 +287,19 @@ TRUST_BOUNDARY_FORGERIES = {
         "witness index 2 is not the first nonzero window",
     ),
 }
+
+
+FORGED = Path(__file__).parent / "fixtures" / "forged"
+
+
+def wide_candidate_gf_bundle(order: int = 64) -> RefutationBundle:
+    """TIMES_FOUR's gf certificate under a candidate of `order` coefficients
+    1/d over distinct 30-digit d, written by the producer: the certificate
+    validates, the candidate's common denominator (about 1,900 digits at
+    order 64) is under the digit cap, and the candidate's own pair is not
+    the stored x/(1 - 4x).  FORGED / "gf_link_wide_candidate.json" holds it."""
+    candidate = LinearRecurrence(tuple(Fraction(1, 10**29 + j) for j in range(order)))
+    return RefutationBundle(candidate, (refute_by_gf(TIMES_FOUR),))
 
 
 def hankel_past_cap_text() -> str:
@@ -614,14 +628,16 @@ class TestPolynomialEngine:
             assert polynomial_certificate_value(k) == -ff1 * ff2
 
     def test_summand_degrees(self):
-        # the engine's recurrence gives the from-factors S_j, coefficient for coefficient
+        # the from-factors S_j have degree 3k and the ratio the engine's
+        # build rests on: S_j (x+j) = 2(2x+2j-3) S_{j-1}
         for k in range(17):
-            summands = list(certify_module._summands(k))
-            assert len(summands) == k + 1
-            for j, s in enumerate(summands):
-                reference = summand_polynomial(k, j)
-                assert reference.degree == 3 * k
-                assert Polynomial(s) == reference
+            previous = summand_polynomial(k, 0)
+            assert previous.degree == 3 * k
+            for j in range(1, k + 1):
+                s = summand_polynomial(k, j)
+                assert s.degree == 3 * k
+                assert s * Polynomial((j, 1)) == previous * Polynomial((4 * j - 6, 4))
+                previous = s
 
     @staticmethod
     def assert_weighted_sum_of_reference_summands(coeffs):
@@ -631,7 +647,8 @@ class TestPolynomialEngine:
         cert = refute_by_polynomial(LinearRecurrence(tuple(coeffs)))
         expected = Polynomial()
         for j, a in enumerate([*coeffs, Fraction(-1)]):
-            expected = expected + summand_polynomial(k, j) * Fraction(a)
+            if a:  # a zero a_j adds nothing
+                expected = expected + summand_polynomial(k, j) * Fraction(a)
         assert cert.polynomial == expected
         assert all(type(c) is Fraction for c in cert.polynomial.coeffs)
         assert cert.value_at_minus_order == expected(-k)
@@ -653,16 +670,18 @@ class TestPolynomialEngine:
             (0, 0, 0, 0, Fraction(1, 2)),  # several zero weights
             (0, Fraction(2, 3), 0, 0, Fraction(-5, 7), 0, 0),
             (0,) * 9,  # every a_j zero: p = -S_k
+            # past the bench's orders: zero weights, an lcm near 10^(20k), all a_j zero
+            *(tuple(Fraction(j % 3 - 1, j % 4 + 1) if j % 5 == 0 else 0 for j in range(k))
+              for k in (32, 64, 128)),
+            *(tuple(Fraction(1, 10**20 + j) for j in range(k)) for k in (32, 64, 128)),
+            *((0,) * k for k in (32, 64, 128)),
         ],
     )
     def test_integer_sum_matches_the_fraction_sum(self, coeffs):
         self.assert_weighted_sum_of_reference_summands(list(coeffs))
 
     def test_summation_does_no_polynomial_arithmetic(self, monkeypatch):
-        # S_0 is built from its factors before the counters go in; the sum of
-        # p itself runs on integer lists, never on Polynomial + or *
-        first = summand_polynomial(6, 0)
-        monkeypatch.setattr(certify_module, "summand_polynomial", lambda order, j: first)
+        # p is built on integer lists, never by Polynomial + or *
         calls = []
         for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
             original = getattr(Polynomial, name)
@@ -676,17 +695,18 @@ class TestPolynomialEngine:
         assert calls == []
         assert cert.value_at_minus_order == polynomial_certificate_value(6)
 
-    def test_engine_builds_one_summand_from_factors(self, monkeypatch):
+    def test_engine_builds_no_summand_from_factors(self, monkeypatch):
         calls = []
-        reference = certify_module.summand_polynomial
+        for name in ("summand_polynomial", "linear_factor_product"):
+            original = getattr(certify_module, name)
 
-        def counting(order, j):
-            calls.append((order, j))
-            return reference(order, j)
+            def counting(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
 
-        monkeypatch.setattr(certify_module, "summand_polynomial", counting)
+            monkeypatch.setattr(certify_module, name, counting)
         refute_by_polynomial(LinearRecurrence((1, 2, 3, 4, 5)))
-        assert calls == [(5, 0)]
+        assert calls == []
 
     def test_order_zero_delegates(self):
         with pytest.raises(ValueError):
@@ -1342,6 +1362,28 @@ class TestSerialization:
         doc = certify_module.bundle_to_document(franken)
         with pytest.raises(CertificateError, match="normalization"):
             validate_document(doc)
+
+    def test_gf_link_compares_the_pair_before_the_self_check(self, monkeypatch):
+        # the link ran rational_gf's 3k + 10-term Fraction re-expansion on the
+        # candidate before comparing; on this document that took about 40 s
+        text = (FORGED / "gf_link_wide_candidate.json").read_text()
+        assert text == serialize_bundle(wide_candidate_gf_bundle())
+        genuine = serialize_bundle(refute_all(TIMES_FOUR))
+        calls = []
+        check = gfseries_module._check_rational_gf
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(gfseries_module, "_check_rational_gf", counting)
+        with pytest.raises(
+            CertificateError, match="stored p/q is not the candidate's generating function"
+        ):
+            validate_serialized(text)
+        assert calls == []
+        validate_serialized(genuine)  # a matching pair is still re-expanded
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name", sorted(TRUST_BOUNDARY_FORGERIES))
     def test_trust_boundary_refusals(self, name):

@@ -4,6 +4,8 @@ Each fixture under tests/fixtures/ was written by the producer and is
 regenerated here byte for byte; every one must also validate standalone.
 The READ_ONLY fixtures are documents the producer no longer writes: their
 bundles are built by hand and the fixtures are never rewritten.
+The documents under fixtures/forged/ are not golden: they are forgeries
+that tests/test_certify.py builds and the validator must refuse.
 The cli_* fixtures are the standard output of the commands in
 GOLDEN_STDOUT, compared byte for byte; the --help pages are formatted at
 80 columns.
