@@ -270,8 +270,8 @@ def _cmd_refute(args) -> CommandResult:
             f"lone power of two at n + {c.odd_index} = 2^{c.exponent}, exact residual {c.residual}"
         ),
         certify.PolynomialCertificate: lambda c: (
-            f"polynomial: p(x) = {c.polynomial}, p(-{c.order}) = {c.value_at_minus_order}, "
-            f"residual {c.residual} at n = {c.witness_index}"
+            f"polynomial: deg p = {c.polynomial.degree}, p(-{c.order}) = {_brief(c.value_at_minus_order)}, "
+            f"residual {_brief(c.residual)} at n = {c.witness_index}"
         ),
         certify.HankelCertificate: lambda c: (
             f"hankel: nonzero window determinants for orders 0..{c.order_bound}"
@@ -289,6 +289,12 @@ def _cmd_refute(args) -> CommandResult:
         Path(args.output).write_text(canonical_json(doc) + "\n")
         lines.append(f"wrote {args.output}")
     return CommandResult(doc, lines)
+
+
+def _brief(value: Fraction) -> str:
+    """value as text, past 48 characters cut to its first 24 and its length."""
+    text = str(value)
+    return text if len(text) <= 48 else f"{text[:24]}... ({len(text)} characters)"
 
 
 def _root_display(root) -> str:

@@ -237,6 +237,20 @@ def hankel_screen(terms) -> bool:
     return False
 
 
+def rational_reconstruction(a: int, m: int, num_bound: int, den_bound: int):
+    """r / q in lowest terms with r == a q (mod m), |r| <= num_bound and
+    0 < q <= den_bound, or None: Wang's extended Euclidean algorithm on
+    (m, a), stopped at the first remainder <= num_bound (von zur Gathen &
+    Gerhard, Modern Computer Algebra, sec. 5.10), finds it whenever one with
+    q prime to m exists and 2 num_bound den_bound < m, which make it unique.
+    """
+    r0, t0, r1, t1 = m, 0, a % m, 1
+    while r1 > num_bound:
+        quotient = r0 // r1
+        r0, t0, r1, t1 = r1, t1, r0 - quotient * r1, t0 - quotient * t1
+    return Fraction(r1, t1) if abs(t1) <= den_bound and math.gcd(r1, t1) == 1 else None
+
+
 def clear_denominators(values):
     """Integers proportional to int / Fraction values, and the scale used.
 

@@ -1,11 +1,11 @@
 """Power-sum forms of linear recurrences and their asymptotic content.
 
 A power sum writes b_n = sum_j p_j(n) * alpha_j**n over distinct nonzero
-roots alpha_j with nonzero polynomials p_j.  Roots are kept exact
-(Fraction) whenever the rational-root stage finds them, and are complex
-floats from an Aberth-Ehrlich iteration otherwise; the empty power sum
-evaluates to 0.  Root multiplicities, and so the degrees of the p_j, come
-from an exact squarefree decomposition, never from how close floats lie.
+roots alpha_j with nonzero polynomials p_j.  Rational roots are exact
+(Fraction), from p-adic lifting, and the others complex floats from an
+Aberth-Ehrlich iteration; the empty power sum evaluates to 0.  Root
+multiplicities, and so the degrees of the p_j, come from an exact
+squarefree decomposition, never from how close floats lie.
 
 Also here: the dominant part (s, alpha, unit-circle terms) of a power sum,
 the Vandermonde distance product, and the window lower bound
@@ -48,19 +48,6 @@ def characteristic_polynomial(rec: LinearRecurrence) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def _convergents(x: Fraction, max_denominator: int):
-    """x's continued-fraction convergents with denominator <= max_denominator."""
-    num, den = x.numerator, x.denominator
-    h, h_prev, q, q_prev = 1, 0, 0, 1
-    while den:
-        a, rest = divmod(num, den)
-        h, h_prev, q, q_prev = a * h + h_prev, h, a * q + q_prev, q
-        if q > max_denominator:
-            return
-        yield Fraction(h, q)
-        num, den = den, rest
-
-
 def _log_derivative(coeffs, z: complex) -> complex:
     """f'(z) / f(z) for f = sum_i coeffs[i] x**i, with Decimal coefficients.
 
@@ -78,29 +65,51 @@ def _log_derivative(coeffs, z: complex) -> complex:
         return complex(float((qr * pr + qi * pi) / norm), float((qi * pr - qr * pi) / norm))
 
 
-def _polished(ints, x: float) -> Fraction:
-    """x after Newton steps on f = sum_i ints[i] t**i, near enough a rational
-    root a / b of f to have a / b among its convergents.
+def _value_mod(ints, x: int, m: int) -> int:
+    """f(x) mod m for f = sum_i ints[i] t**i, by Horner's rule."""
+    value = 0
+    for c in reversed(ints):
+        value = (value * x + c) % m
+    return value
 
-    Legendre's bound |x - a/b| < 1 / (2 b**2), with b dividing the leading
-    coefficient, takes 2 digits(lead) digits past the point, and the sums
-    lose to cancellation the digits of sum_i |ints[i]| (|x| + 1)**deg, the
-    most their terms reach; the steps run at both together plus a margin.
-    From a float root, good to about 16 digits, each step doubles the digits
-    of a simple root.
+
+def _rational_roots(f: Polynomial) -> list:
+    """Every rational root of f (exact, squarefree, f(0) != 0), found by
+    p-adic lifting (Loos, SIAM J. Comput. 12, 1983) with no float.
+
+    On f's primitive integer form, of degree d, a rational root r / q in
+    lowest terms has r | f(0) and q | lc(f).  For the least prime p > 2 d
+    that does not divide lc(f) and at which every root of f mod p is simple,
+    r / q mod p is one of those roots, found by trying all p residues; it
+    lifts uniquely, by Newton's steps, to a root mod M > 2 |f(0)| |lc(f)|,
+    and rational reconstruction with |r| <= |f(0)|, 0 < q <= |lc(f)| gives
+    back r / q.  A candidate counts only if sum_i c_i r**i q**(d-i) = 0.
     """
-    bits = 2 * abs(ints[-1]).bit_length() + sum(map(abs, ints)).bit_length()
-    prec = int(bits * math.log10(2) + (len(ints) - 1) * math.log10(abs(x) + 1)) + 20
-    with localcontext(Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        x = Decimal(x)
-        for _ in range(prec.bit_length() + 4):
-            f = df = Decimal(0)
-            for c in reversed(ints):
-                f, df = f * x + c, df * x + f
-            if not df:
+    ints, _ = linalg.clear_denominators(f.coeffs)  # f is monic, so this is primitive
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    p = 2 * f.degree
+    while True:
+        p += 1
+        if ints[-1] % p and all(p % k for k in range(2, math.isqrt(p) + 1)):
+            residues = [c % p for c in ints]
+            lifts = [x for x in range(p) if _value_mod(residues, x, p) == 0]
+            if all(_value_mod(deriv, x, p) for x in lifts):
                 break
-            x -= f / df
-        return Fraction(x)
+    num_bound, den_bound, m = abs(ints[0]), abs(ints[-1]), p
+    while m <= 2 * num_bound * den_bound:
+        m *= m
+        lifts = [(x - _value_mod(ints, x, m) * pow(_value_mod(deriv, x, m), -1, m)) % m for x in lifts]
+    roots = []
+    for x in lifts:
+        root = linalg.rational_reconstruction(x, m, num_bound, den_bound)
+        if root is None:
+            continue
+        value, scale = 0, 1  # sum_i c_i r**i q**(d-i), by Horner's rule
+        for c in reversed(ints):
+            value, scale = value * root.numerator + c * scale, scale * root.denominator
+        if value == 0:
+            roots.append(root)
+    return roots
 
 
 def _aberth_roots(f: Polynomial) -> list:
@@ -176,32 +185,19 @@ def _squarefree_factors(p: Polynomial):
     return factors
 
 
-def _numeric_roots(f: Polynomial) -> list:
-    """f's roots from the Aberth-Ehrlich iteration, near-real ones made real."""
-    roots = [complex(z.real) if abs(z.imag) <= 1e-10 * abs(z) else z for z in _aberth_roots(f)]
-    if len(set(roots)) != f.degree:  # f is squarefree: its roots are distinct
-        raise RootFindingError(f"{len(set(roots))} distinct roots for a factor of degree {f.degree}")
-    return roots
-
-
 def polynomial_roots(p: Polynomial):
     """All roots of an exact polynomial, with their multiplicities.
 
     The root 0 is split off as x**v; Yun's squarefree decomposition of the
     rest (over the exact poly_gcd) then fixes every multiplicity: each root
-    of the factor f in p = c * prod f**m has multiplicity exactly m.  The
-    simple roots of f come from an Aberth-Ehrlich iteration, and each real
-    one, polished past Legendre's bound, is tested for the rational root
-    r / q it approximates: that is among its continued-fraction convergents,
-    with r dividing f's constant and q its leading coefficient (the rational
-    root theorem, on f with integer coefficients).  A convergent counts only
-    within 1 / (2 |leading|) of the polished root, nearer than any other
-    rational root lies, and only if f vanishes there exactly; exact division
-    then removes it, and the numeric roots come from the exact quotient.
-    Exact roots come first, sorted; then the complex floats, sorted by
-    (real, imag).  Raises ValueError for the zero polynomial or inexact
-    coefficients, and RootFindingError when the iteration does not settle
-    or a factor's roots are not distinct.
+    of the factor f in p = c * prod f**m has multiplicity exactly m.  Every
+    rational root of f comes from p-adic lifting (`_rational_roots`), before
+    any float is computed, and is divided out exactly; the Aberth-Ehrlich
+    iteration then runs once, on the exact quotient.  Exact roots come
+    first, sorted; then the complex floats, sorted by (real, imag).  Raises
+    ValueError for the zero polynomial or inexact coefficients, and
+    RootFindingError when the iteration does not settle or a factor's roots
+    are not distinct.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every number as a root")
@@ -211,23 +207,14 @@ def polynomial_roots(p: Polynomial):
     exact = [(Fraction(0), v)] if v else []
     numeric = []
     for f, m in _squarefree_factors(Polynomial(p.coeffs[v:])):
-        ints, _ = linalg.clear_denominators(f.coeffs)
-        lead, degree = abs(ints[-1]), f.degree
-        roots = _numeric_roots(f)
-        for z in [z for z in roots if not z.imag]:
-            x = _polished(ints, z.real)
-            for cand in _convergents(x, lead):
-                r, q = cand.numerator, cand.denominator
-                divides = r and ints[0] % r == 0 and lead % q == 0
-                # rational roots a/b != c/d of f have b d | lead, so lie at least
-                # 1 / lead apart: only the one x approximates is this near
-                if divides and 2 * lead * abs(cand - x) <= 1 and f(cand) == 0:
-                    f = f // Polynomial((-cand, 1))  # exact: the remainder is f(cand) = 0
-                    exact.append((cand, m))
-                    break
-        if f.degree < degree:
-            roots = _numeric_roots(f) if f.degree >= 1 else []
-        numeric += [(z, m) for z in roots]
+        for root in _rational_roots(f):
+            f = f // Polynomial((-root, 1))  # exact: the remainder is f(root) = 0
+            exact.append((root, m))
+        if f.degree >= 1:  # near-real roots are made real; f's roots are distinct
+            roots = {complex(z.real) if abs(z.imag) <= 1e-10 * abs(z) else z for z in _aberth_roots(f)}
+            if len(roots) != f.degree:
+                raise RootFindingError(f"{len(roots)} distinct roots for a factor of degree {f.degree}")
+            numeric += [(z, m) for z in roots]
     exact.sort(key=lambda rm: rm[0])
     numeric.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return exact + numeric
@@ -248,15 +235,13 @@ class PowerSum:
 
     def __post_init__(self):
         terms = tuple((poly, root) for poly, root in self.terms)
-        seen = []
-        for poly, root in terms:
+        for i, (poly, root) in enumerate(terms):
             if poly.is_zero:
                 raise ValueError("power-sum polynomials must be nonzero")
             if root == 0:
                 raise ValueError("power-sum roots must be nonzero")
-            if any(complex(root) == s for s in seen):
+            if any(root == other for _, other in terms[:i]):  # exact: 1 + 10^-20 is no float 1
                 raise ValueError(f"duplicate power-sum root {root}")
-            seen.append(complex(root))
         object.__setattr__(self, "terms", terms)
 
     @property

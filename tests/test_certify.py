@@ -639,16 +639,22 @@ class TestPolynomialEngine:
                 assert s * Polynomial((j, 1)) == previous * Polynomial((4 * j - 6, 4))
                 previous = s
 
-    @staticmethod
-    def assert_weighted_sum_of_reference_summands(coeffs):
+    # the from-factors summands, built once per (k, j) across the cases
+    reference_summand = staticmethod(functools.lru_cache(maxsize=None)(summand_polynomial))
+
+    @classmethod
+    def assert_weighted_sum_of_reference_summands(cls, coeffs):
         """p is sum_j a_j S_j over the from-factors summands, a_k = -1, with
-        every coefficient a Fraction, as a Fraction-by-Fraction sum gives."""
+        every coefficient a Fraction: the integer sum of the cleared a_j
+        times the integer S_j, over the one common denominator."""
         k = len(coeffs)
         cert = refute_by_polynomial(LinearRecurrence(tuple(coeffs)))
-        expected = Polynomial()
-        for j, a in enumerate([*coeffs, Fraction(-1)]):
-            if a:  # a zero a_j adds nothing
-                expected = expected + summand_polynomial(k, j) * Fraction(a)
+        weights, scale = linalg.clear_denominators([*coeffs, Fraction(-1)])
+        total = [0] * (3 * k + 1)
+        for j, w in enumerate(weights):
+            if w:  # a zero a_j adds nothing
+                total = [t + w * c for t, c in zip(total, cls.reference_summand(k, j).coeffs)]
+        expected = Polynomial(Fraction(c, scale) for c in total)
         assert cert.polynomial == expected
         assert all(type(c) is Fraction for c in cert.polynomial.coeffs)
         assert cert.value_at_minus_order == expected(-k)

@@ -229,6 +229,21 @@ class TestRefuteCommand:
         _, out, _ = run(capsys, "refute", "4", "--json")
         assert out == path.read_text()
 
+    def test_polynomial_summary_is_bounded(self, capsys):
+        # the line names deg p, p(-k), the witness and the residual, not p:
+        # the whole p was 3.6 MB of text at k = 512; --json keeps it
+        coefficients = ",".join(f"{j % 7 - 3}/{j % 5 + 1}" for j in range(64))
+        code, out, _ = run(capsys, "refute", "--method", "poly", "--", coefficients)
+        assert code == 0
+        [line] = [line for line in out.splitlines() if line.startswith("  polynomial:")]
+        assert line.startswith("  polynomial: deg p = 192, p(-64) = -") and line.endswith(" at n = 1")
+        assert len(line) < 200
+        _, out, _ = run(capsys, "refute", "--method", "poly", "--json", "--", coefficients)
+        [cert] = json.loads(out)["certificates"]
+        coefficients_of_p = [c for c in cert["polynomial"] if len(c) > 3]
+        assert len(coefficients_of_p) > 150
+        assert not any(c in line for c in coefficients_of_p)
+
     def test_empty_candidate_parity(self, capsys):
         code, out, _ = run(capsys, "refute", "", "--method", "parity", "--json")
         assert code == 0
@@ -442,7 +457,7 @@ class TestBinetCommand:
         doc = json.loads(out)
         assert doc["status"] == "ok" and float(doc["payload"]["reconstruction"]) < 1e-12
         # b_n = 10^(13 n) took the numeric tier too, with an absolute error of
-        # 6.828e+244; its rational root is now a convergent of the polished root
+        # 6.828e+244; its rational root is now found exactly by p-adic lifting
         code, out, _ = run(capsys, "binet", "10000000000000", "--initial", "10000000000000", "--json")
         assert code == 0 and json.loads(out)["payload"]["reconstruction"] == "exact"
         code, out, _ = run(capsys, "binet", "1,1", "--initial", "1,1")
@@ -457,8 +472,8 @@ class TestBinetCommand:
         doc = json.loads(out)
         assert code == 0 and doc["status"] == "ok"
         assert float(doc["payload"]["reconstruction"]) < 1e-8
-        # roots 1 +- 10^-8 are rational: each is a convergent of its polished
-        # numeric root, both are found exactly, so the power sum is exact
+        # roots 1 +- 10^-8 are rational: p-adic lifting finds both exactly,
+        # so the power sum is exact
         coefficients = "-9999999999999999/10000000000000000,2"
         argv = ("binet", "--initial", "1,2", "--terms", "1000", "--json", "--", coefficients)
         code, out, _ = run(capsys, *argv)

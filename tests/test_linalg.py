@@ -15,6 +15,7 @@ from cfinite.linalg import (
     kernel_basis,
     kernel_vectors,
     PRIME,
+    rational_reconstruction,
     reduce_columns,
     solve,
 )
@@ -365,3 +366,27 @@ class TestClearDenominators:
     def test_refuses_floats(self):
         with pytest.raises(TypeError):
             clear_denominators([1, 0.5])
+
+
+class TestRationalReconstruction:
+    def test_recovers_every_fraction_within_the_bounds(self):
+        # m = 7^k > 2 N D: every r / q with |r| <= N and 0 < q <= D, 7 not
+        # dividing q, comes back from its residue r q^-1 mod m
+        rng = random.Random(31)
+        for _ in range(300):
+            num_bound, den_bound = rng.randint(1, 10**12), rng.randint(1, 10**12)
+            m = 7
+            while m <= 2 * num_bound * den_bound:
+                m *= 7
+            q = rng.randint(1, den_bound)
+            if q % 7 == 0:
+                continue
+            root = Fraction(rng.randint(-num_bound, num_bound), q)
+            a = root.numerator * pow(root.denominator, -1, m) % m
+            assert rational_reconstruction(a, m, num_bound, den_bound) == root
+
+    def test_none_when_no_fraction_fits(self):
+        # 1/3 mod 101 is 34; with denominators up to 2 and numerators up to
+        # 3 no fraction stands for it (2 N D = 12 < 101)
+        assert rational_reconstruction(34, 101, 3, 3) == Fraction(1, 3)
+        assert rational_reconstruction(34, 101, 3, 2) is None

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfinite import powersum
+from cfinite import linalg, powersum
 from cfinite.errors import ResourceLimitError, RootFindingError, SingularSystemError
 from cfinite.powersum import (
     _complex_solve,
@@ -135,8 +135,8 @@ class TestPolynomialRoots:
 
     @pytest.mark.parametrize("root", [Fraction(10**13), Fraction(3 * 10**13, 7)])
     def test_rational_root_past_the_divisor_search(self, root):
-        # large coefficients: the rational root is a convergent of the
-        # polished numeric root, and is tested exactly
+        # large coefficients: the rational root is lifted from its root mod p
+        # and reconstructed, with no divisor search
         f = Polynomial((-root.numerator, root.denominator))
         assert polynomial_roots(f) == [(root, 1)]
         # with a double root and a complex pair beside it
@@ -148,8 +148,7 @@ class TestPolynomialRoots:
     def test_close_rational_roots_past_the_divisor_search(self):
         # 10000001/10^7 and 10000003/10^7: the product's leading coefficient
         # is 10^14, and a fraction with denominator <= 10^14 lies nearer each
-        # float root than the root itself, so only a convergent of the root
-        # polished past Legendre's bound finds it
+        # float root than the root itself, so no float can tell them apart
         f = Polynomial((-(10**7 + 1), 10**7)) * Polynomial((-(10**7 + 3), 10**7))
         roots = polynomial_roots(f)
         assert roots == [(Fraction(10**7 + 1, 10**7), 1), (Fraction(10**7 + 3, 10**7), 1)]
@@ -192,11 +191,12 @@ class TestPolynomialRoots:
         assert not any(isinstance(r, Fraction) for r, _ in roots[1:])
 
     def test_no_rational_point_is_evaluated_without_a_real_root(self, monkeypatch):
-        # 735134400 (1 + x^2) + x has only complex roots, so no candidate is
-        # tried; a search over the quotients of the 1,344 divisors of
-        # 735134400 evaluated f at 73,710 points, for 6 s
+        # 735134400 (1 + x^2) + x has only complex roots; candidates come only
+        # from f's roots mod p, and it has none there, so nothing is
+        # reconstructed or tested; a search over the quotients of the 1,344
+        # divisors of 735134400 evaluated f at 73,710 points, for 6 s
         calls = []
-        call = Polynomial.__call__
+        call, reconstruct = Polynomial.__call__, linalg.rational_reconstruction
 
         def counting(self, x):
             if isinstance(x, Fraction):
@@ -204,6 +204,7 @@ class TestPolynomialRoots:
             return call(self, x)
 
         monkeypatch.setattr(Polynomial, "__call__", counting)
+        monkeypatch.setattr(linalg, "rational_reconstruction", lambda *a: calls.append(a) or reconstruct(*a))
         roots = polynomial_roots(Polynomial((735134400, 1, 735134400)))
         assert calls == []
         assert [m for _, m in roots] == [1, 1] and all(complex(r).imag for r, _ in roots)
@@ -238,6 +239,85 @@ class TestPolynomialRoots:
             numeric = [r for r, _ in roots[len(exact) :]]
             assert numeric == sorted(numeric, key=lambda z: (z.real, z.imag))
             assert sum(m for _, m in roots) == p.degree
+
+    @staticmethod
+    def rational_roots_by_divisors(p):
+        """The rational roots of a small integer polynomial, from the
+        rational root theorem: r / q with r | p(0) and q | lc(p)."""
+        ints = [int(c) for c in p.coeffs]
+        v = next(i for i, c in enumerate(ints) if c)
+        ints = ints[v:]
+        divisors = lambda n: [d for d in range(1, abs(n) + 1) if n % d == 0]
+        found = {Fraction(s * r, q) for r in divisors(ints[0]) for q in divisors(ints[-1]) for s in (-1, 1)}
+        return {r for r in found if p(r) == 0} | ({Fraction(0)} if v else set())
+
+    def test_planted_rational_roots_are_never_missed(self):
+        # 1-4 planted roots with denominators up to 7^30 and 10^13, times 0-2
+        # random integer factors: the exact roots are the planted ones and
+        # the integer factors' own, from the rational root theorem
+        rng = random.Random(31)
+        for _ in range(300):
+            planted = set()
+            for _ in range(rng.randint(1, 4)):
+                den = rng.choice((rng.randint(1, 10**13), 7 ** rng.randint(1, 30)))
+                planted.add(Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**13), den))
+            rest = Polynomial((1,))
+            for _ in range(rng.randint(0, 2)):
+                coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))]
+                rest = rest * Polynomial(coeffs + [rng.choice((-3, -2, -1, 1, 2, 3))])
+            p = rest
+            for r in planted:
+                p = p * Polynomial((-r.numerator, r.denominator))
+            roots = polynomial_roots(p)
+            exact = {r for r, _ in roots if isinstance(r, Fraction)}
+            assert exact == planted | self.rational_roots_by_divisors(rest)
+            assert sum(m for _, m in roots) == p.degree
+
+    @pytest.mark.parametrize("scale", [10**30, 10**31])
+    def test_clusters_of_rational_roots_come_back_exact(self, scale):
+        # (3x - 1)(scale (3x - 1)^2 - 1): the roots 1/3 and 1/3 +- scale^-1/2 / 3
+        # lie within 2e-16 of each other; the float polish returned three
+        # floats at 10^30 and missed 1/3 at 10^31
+        a = Polynomial((-1, 3))
+        roots = polynomial_roots(a * (a * a * scale - Polynomial((1,))))
+        exact = [r for r, _ in roots if isinstance(r, Fraction)]
+        if scale == 10**30:
+            assert exact == [Fraction(10**15 - 1, 3 * 10**15), Fraction(1, 3), Fraction(10**15 + 1, 3 * 10**15)]
+        else:
+            assert exact == [Fraction(1, 3)] and len(roots) == 3
+
+    def test_rational_roots_need_no_float(self, monkeypatch):
+        # with the Aberth iteration made to raise, a polynomial whose roots
+        # are all rational still gets every one, with its multiplicity
+        def refuse(f):
+            raise AssertionError("the Aberth iteration ran")
+
+        monkeypatch.setattr(powersum, "_aberth_roots", refuse)
+        built = {Fraction(0): 2, Fraction(1, 3): 1, Fraction(-5, 7): 2, Fraction(7**30 + 1, 7**30): 1,
+                 Fraction(10**13): 3, Fraction(-2): 1}
+        p = Polynomial((1,))
+        for r, m in built.items():
+            p = p * Polynomial((-r.numerator, r.denominator)) ** m
+        assert polynomial_roots(p) == sorted(built.items())
+
+    def test_aberth_runs_once_per_factor_on_the_quotient(self, monkeypatch):
+        calls = []
+        aberth = powersum._aberth_roots
+        monkeypatch.setattr(powersum, "_aberth_roots", lambda f: calls.append(f.degree) or aberth(f))
+        # x^2 - 2 squared, x^2 - 3 and 3x - 1: one call per squarefree factor,
+        # on what is left after 1/3 is divided out
+        p = Polynomial((-2, 0, 1)) ** 2 * Polynomial((-3, 0, 1)) * Polynomial((-1, 3))
+        roots = polynomial_roots(p)
+        assert sorted(calls) == [2, 2] and roots[0] == (Fraction(1, 3), 1)
+        # a {-1, 0, 1} factor with the root 0 times (3x - 2)(7x + 5): the
+        # degree-299 squarefree factor has the rational roots 2/3 and -5/7,
+        # and the iteration runs on the degree-297 quotient alone
+        calls.clear()
+        rng = random.Random(1)
+        g = Polynomial([0] + [rng.choice((-1, 0, 1)) for _ in range(297)] + [1])
+        roots = polynomial_roots(g * Polynomial((-2, 3)) * Polynomial((5, 7)))
+        assert calls == [297]
+        assert roots[:3] == [(Fraction(-5, 7), 1), (Fraction(0), 1), (Fraction(2, 3), 1)]
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
@@ -338,9 +418,12 @@ class TestPolynomialRoots:
         # the constant term 10^-400 underflowed to 0 and left the Newton polygon
         roots = polynomial_roots(Polynomial((Fraction(-1, 10**400), 0, 1)))
         assert [complex(r) for r, _ in roots] == [-1e-200, 1e-200]
-        # roots +-10^-400 underflow to 0: the two iterates meet
+        # the rational roots +-10^-400 are found exactly, with no float
+        roots = polynomial_roots(Polynomial((Fraction(-1, 10**800), 0, 1)))
+        assert roots == [(Fraction(-1, 10**400), 1), (Fraction(1, 10**400), 1)]
+        # irrational roots +-sqrt(2) 10^-400 underflow to 0: the two iterates meet
         with pytest.raises(RootFindingError, match="1 distinct roots for a factor of degree 2"):
-            polynomial_roots(Polynomial((Fraction(-1, 10**800), 0, 1)))
+            polynomial_roots(Polynomial((Fraction(-2, 10**800), 0, 1)))
         # float values of f overflow near the root 10^200
         roots = polynomial_roots(Polynomial((-1, -(10**200), 1)))
         assert [complex(r) for r, _ in roots] == [-1e-200, 1e200]
@@ -383,13 +466,16 @@ class TestBinetForm:
             binet_form(LinearRecurrence((1, 10**200)), (1, 1))
 
     def test_coefficients_past_the_float_range_are_a_resource_limit(self):
-        # the root finder has no float copy of x - 10^400
-        message = r"^polynomial coefficient -1\.000000e\+400 is past the float range$"
+        # the Aberth iteration has no float copy of x^2 - 2 10^400
+        message = r"^polynomial coefficient -2\.000000e\+400 is past the float range$"
         with pytest.raises(ResourceLimitError, match=message):
-            binet_form(LinearRecurrence((10**400,)), (1,))
+            binet_form(LinearRecurrence((2 * 10**400, 0)), (1, 1))
         # named without str(), which refuses ints past 4,300 digits
-        with pytest.raises(ResourceLimitError, match=r"^polynomial coefficient -1\.000000e\+5000 "):
-            binet_form(LinearRecurrence((10**5000,)), (1,))
+        with pytest.raises(ResourceLimitError, match=r"^polynomial coefficient -2\.000000e\+5000 "):
+            binet_form(LinearRecurrence((2 * 10**5000, 0)), (1, 1))
+        # the rational root of x - 10^400 needs no float: the power sum is exact
+        ps = binet_form(LinearRecurrence((10**400,)), (1,))
+        assert ps.terms == ((Polynomial((Fraction(1, 10**400),)), Fraction(10**400)),)
 
     def test_empty(self):
         ps = binet_form(LinearRecurrence(()), ())
@@ -527,6 +613,14 @@ class TestEvaluatePowersum:
                     (Polynomial((0, 1)), Fraction(3)),
                 )
             )
+
+    def test_exact_roots_that_floats_merge_stay_distinct(self):
+        # 1 and 1 + 10^-20 are one float: b_n = 1 + (1 + 10^-20)^n has an
+        # exact power sum with both roots
+        near = Fraction(10**20 + 1, 10**20)
+        rec = LinearRecurrence((-near, 1 + near))
+        ps = binet_form(rec, (1 + near, 1 + near * near))
+        assert ps.terms == ((Polynomial((1,)), Fraction(1)), (Polynomial((1,)), near))
 
 
 class TestDominantPart:
