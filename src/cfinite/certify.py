@@ -19,6 +19,11 @@ using nothing but exact Catalan values and the certificate fields:
 * gf mismatch: the rational generating function the candidate would force
   disagrees with the Catalan series at an explicit coefficient.
 
+Each refute_by_* is an unchecked private builder plus _checked (validator
+and candidate link: the one definition of what a certificate must pass,
+which validate_document runs too); refute_all checks each certificate of
+_build_all once, and `cfinite refute` checks only the document it writes.
+
 One cap, ORDER_CAP, bounds every order a certificate names: the
 candidate's, the Hankel bound, the parity vector's length - 1, the
 polynomial certificate's and the gf degrees.  Engines and validators (after
@@ -51,7 +56,7 @@ from fractions import Fraction
 
 from . import gfseries, linalg
 from .errors import CertificateError, ResourceLimitError
-from .gfseries import linear_factor_product, Polynomial, rational_gf
+from .gfseries import linear_factor_product, Polynomial
 from .recurrence import LinearRecurrence, normalize_coprime
 from .schema import canonical_json as _canonical_json, SCHEMA_TAG
 from .seqcore import _term_ratio, catalan_closed, catalan_is_odd
@@ -180,7 +185,7 @@ def _window_sums(vector, start: int, count: int) -> list:
 
 def _first_residual(candidate: LinearRecurrence) -> tuple:
     """(m, residual) for the first window m with a nonzero residual; it
-    comes by m = k + 1 (see refute_by_gf)."""
+    comes by m = k + 1 (see _build_gf)."""
     vector = normalize_coprime(candidate).entries
     k = len(vector) - 1
     sums = _window_sums(vector, 1, k + 1)
@@ -202,14 +207,16 @@ def _parity_window(vector) -> tuple:
     return l, m, n, table
 
 
-def refute_by_parity(candidate: LinearRecurrence) -> ParityCertificate:
-    """Refute via the lone odd summand in a window around a power of two."""
+def _build_parity(candidate: LinearRecurrence) -> ParityCertificate:
     _candidate_rational(candidate)
     vector = normalize_coprime(candidate).entries
     l, m, n, table = _parity_window(vector)
-    cert = ParityCertificate(vector, l, m, n, table, _window_sums(vector, n, 1)[0])
-    validate_parity(cert)
-    return cert
+    return ParityCertificate(vector, l, m, n, table, _window_sums(vector, n, 1)[0])
+
+
+def refute_by_parity(candidate: LinearRecurrence) -> ParityCertificate:
+    """Refute via the lone odd summand in a window around a power of two."""
+    return _checked(_build_parity(candidate), candidate)
 
 
 def validate_parity(cert: ParityCertificate) -> None:
@@ -266,8 +273,8 @@ def polynomial_certificate_value(order: int) -> int:
     return -((-1) ** order) * math.factorial(order) * math.factorial(2 * order + 1)
 
 
-def refute_by_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
-    """Refute via the polynomial identity; needs order k >= 1.
+def _build_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
+    """The polynomial certificate; needs order k >= 1.
 
     p = sum_j a_j S_j with a_k = -1 (S_j as in summand_polynomial) is built
     as P = L p in integers, from the weights w_j = L a_j cleared once.  With
@@ -299,9 +306,12 @@ def refute_by_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
     p = Polynomial(Fraction(t, scale) for t in total)
     witness, residual = _first_residual(candidate)
     value = Fraction(Polynomial(total)(-k), scale)
-    cert = PolynomialCertificate(k, coefficients, p, value, witness, residual)
-    validate_polynomial(cert)
-    return cert
+    return PolynomialCertificate(k, coefficients, p, value, witness, residual)
+
+
+def refute_by_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
+    """Refute via the polynomial identity (see _build_polynomial); needs order k >= 1."""
+    return _checked(_build_polynomial(candidate), candidate)
 
 
 def validate_polynomial(cert: PolynomialCertificate) -> None:
@@ -369,14 +379,19 @@ def _check_catalan_hankel(order_bound: int) -> None:
         del row[2 * order_bound - n :]
 
 
-def refute_by_hankel(order_bound: int) -> HankelCertificate:
-    """Nonzero exact Catalan window determinants for every order <= bound,
-    all 1 by one path check (see _check_catalan_hankel)."""
+def _build_hankel(order_bound: int) -> HankelCertificate:
     if order_bound < 0:
         raise ValueError(f"need order bound >= 0, got {order_bound}")
     _check_order_cap("hankel order bound", order_bound)
-    _check_catalan_hankel(order_bound)
     return HankelCertificate(order_bound, tuple((k, 1, 1) for k in range(order_bound + 1)))
+
+
+def refute_by_hankel(order_bound: int) -> HankelCertificate:
+    """Nonzero exact Catalan window determinants for every order <= bound,
+    all 1 by validate_hankel's one path check (see _check_catalan_hankel)."""
+    cert = _build_hankel(order_bound)
+    validate_hankel(cert)
+    return cert
 
 
 def validate_hankel(cert: HankelCertificate) -> None:
@@ -386,7 +401,7 @@ def validate_hankel(cert: HankelCertificate) -> None:
     (all 1: Aigner, JCTA 87, 1999), so the witnesses must be exactly
     (k, 1, 1) for k = 0..K (K the bound); the count and this layout are
     checked before any Catalan value is built, so no window reads past
-    C_{2K+1} and an accepted document costs the producer's one check.  That
+    C_{2K+1} and an accepted document costs one path check.  That
     check proves every such determinant is 1 from the J-fraction of the
     Catalan numbers: the weighted Motzkin path counts B_{n,0} (level steps
     weigh 1 at height 0 and 2 above it) must equal C_{n+1} for n <= 2K, and
@@ -412,8 +427,8 @@ def validate_hankel(cert: HankelCertificate) -> None:
     _check_catalan_hankel(bound)
 
 
-def refute_by_gf(candidate: LinearRecurrence) -> GfMismatchCertificate:
-    """Refute via the first coefficient where the implied series fails.
+def _build_gf(candidate: LinearRecurrence) -> GfMismatchCertificate:
+    """The first coefficient where the implied series fails.
 
     The candidate and C_1..C_k force a rational generating function whose
     coefficients iterate the recurrence from those terms, so they first
@@ -424,12 +439,15 @@ def refute_by_gf(candidate: LinearRecurrence) -> GfMismatchCertificate:
     """
     _candidate_rational(candidate)
     k = candidate.order
-    rf = rational_gf(candidate, _catalan_table(1, k))
+    rf = gfseries._rational_gf_pair(candidate, tuple(_catalan_table(1, k)))
     m, residual = _first_residual(candidate)
     catalan = catalan_closed(k + m)
-    cert = GfMismatchCertificate(rf.numerator, rf.denominator, k + m, catalan + residual, catalan)
-    validate_gf(cert)
-    return cert
+    return GfMismatchCertificate(rf.numerator, rf.denominator, k + m, catalan + residual, catalan)
+
+
+def refute_by_gf(candidate: LinearRecurrence) -> GfMismatchCertificate:
+    """Refute via the first coefficient where the implied series fails (see _build_gf)."""
+    return _checked(_build_gf(candidate), candidate)
 
 
 def validate_gf(cert: GfMismatchCertificate) -> None:
@@ -496,10 +514,23 @@ def validate_certificate(cert) -> None:
     _VALIDATORS[type(cert)](cert)
 
 
+def _checked(cert, candidate: LinearRecurrence):
+    """cert, once it passes what every certificate must: validator and candidate link."""
+    validate_certificate(cert)
+    _check_candidate_link(cert, candidate)
+    return cert
+
+
 def refute_all(candidate: LinearRecurrence, hankel_bound: int | None = None) -> RefutationBundle:
     """All applicable certificates, in the fixed order parity, polynomial,
-    hankel, gf (the polynomial engine is skipped at order 0); caps first,
-    then ValueError for a Hankel bound below the candidate's order."""
+    hankel, gf (the polynomial engine is skipped at order 0), each _checked;
+    caps first, then ValueError for a Hankel bound below the candidate's order."""
+    certificates = _build_all(candidate, hankel_bound)
+    return RefutationBundle(candidate, tuple(_checked(c, candidate) for c in certificates))
+
+
+def _build_all(candidate: LinearRecurrence, hankel_bound: int | None) -> tuple:
+    """refute_all's certificates, unchecked: the one copy of its engine order and caps."""
     hankel_bound = candidate.order if hankel_bound is None else hankel_bound
     _check_order_cap("candidate order", candidate.order)
     _check_order_cap("hankel order bound", hankel_bound)
@@ -507,12 +538,12 @@ def refute_all(candidate: LinearRecurrence, hankel_bound: int | None = None) -> 
         raise ValueError(
             f"hankel bound {hankel_bound} is below the candidate's order {candidate.order}"
         )
-    certificates = [refute_by_parity(candidate)]
+    certificates = [_build_parity(candidate)]
     if candidate.order >= 1:
-        certificates.append(refute_by_polynomial(candidate))
-    certificates.append(refute_by_hankel(hankel_bound))
-    certificates.append(refute_by_gf(candidate))
-    return RefutationBundle(candidate, tuple(certificates))
+        certificates.append(_build_polynomial(candidate))
+    certificates.append(_build_hankel(hankel_bound))
+    certificates.append(_build_gf(candidate))
+    return tuple(certificates)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +682,7 @@ def _check_denominators(bundle: RefutationBundle) -> None:
     """_check_common_denominator on every list of rationals that a validator
     or a candidate link of the bundle clears to integers: the candidate's
     coefficients for a parity or a gf certificate (normalize_coprime,
-    rational_gf), a polynomial certificate's p and its coefficients, and a
+    _rational_gf_pair), a polynomial certificate's p and its coefficients, and a
     gf certificate's p and q together.  A Hankel certificate clears none.
     The writer and the reader run this same check, so no document the
     writer writes is refused by it."""
@@ -784,8 +815,7 @@ def validate_document(doc: dict) -> RefutationBundle:
             "document is not in its written form: a field is unknown or not canonical"
         )
     for cert in bundle.certificates:
-        validate_certificate(cert)
-        _check_candidate_link(cert, bundle.candidate)
+        _checked(cert, bundle.candidate)
     return bundle
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: catalan (generate terms by any or all methods), guess (fit a
 recurrence to supplied data), refute (certificates against a proposed
-Catalan recurrence), binet (power-sum form of a recurrence), gf
+Catalan recurrence, built unchecked and checked once, on the text --json
+prints and --output writes), binet (power-sum form of a recurrence), gf
 (generating functions), validate (recheck a serialized certificate
 document).
 
@@ -249,18 +250,20 @@ def _cmd_refute(args) -> CommandResult:
     bound = candidate.order if args.max_order is None else args.max_order
     if bound < candidate.order:  # a Hankel certificate must cover the candidate's order
         raise ValueError(f"--max-order {bound} is below the candidate's order {candidate.order}")
-    engines = {
-        "all": lambda: certify.refute_all(candidate, bound).certificates,
-        "parity": lambda: (certify.refute_by_parity(candidate),),
-        "poly": lambda: (certify.refute_by_polynomial(candidate),),
-        "hankel": lambda: (certify.refute_by_hankel(bound),),
-        "gf": lambda: (certify.refute_by_gf(candidate),),
+    # unchecked builders; the one check reads the text --json prints and --output writes
+    builders = {
+        "all": lambda: certify._build_all(candidate, bound),
+        "parity": lambda: (certify._build_parity(candidate),),
+        "poly": lambda: (certify._build_polynomial(candidate),),
+        "hankel": lambda: (certify._build_hankel(bound),),
+        "gf": lambda: (certify._build_gf(candidate),),
     }
-    bundle = certify.RefutationBundle(candidate, engines[args.method]())
+    bundle = certify.RefutationBundle(candidate, builders[args.method]())
     doc = certify.bundle_to_document(bundle)
+    text = canonical_json(doc) + "\n"
     lines = [f"candidate: {candidate} (order {candidate.order}, field {candidate.field})"]
     try:
-        certify.validate_document(doc)
+        certify.validate_serialized(text)
     except CertificateError as exc:
         lines.append(f"INVALID: {exc}")
         return CommandResult(doc, lines, exit_code=1)
@@ -286,7 +289,7 @@ def _cmd_refute(args) -> CommandResult:
         lines.append("  " + summaries[type(cert)](cert))
     lines.append(f"{len(bundle.certificates)} certificate(s), all validated")
     if args.output:
-        Path(args.output).write_text(canonical_json(doc) + "\n")
+        Path(args.output).write_text(text)
         lines.append(f"wrote {args.output}")
     return CommandResult(doc, lines)
 

@@ -362,11 +362,24 @@ class DominantPart:
         return len(self.unit_terms)
 
 
+def _float_modulus(root) -> float:
+    """|root| as a float; ResourceLimitError naming the root when that reads
+    0 or not finite: an exact root too small or too large for a float."""
+    try:
+        modulus = abs(complex(root))
+    except OverflowError:
+        modulus = math.inf
+    if modulus == 0 or not math.isfinite(modulus):
+        shown = Decimal(root.numerator) / root.denominator if _is_exact(root) else complex(root)
+        raise ResourceLimitError(f"root {shown:.6e} has a modulus past the float range")
+    return modulus
+
+
 def dominant_part(ps: PowerSum) -> DominantPart:
     """Extract (s, alpha, unit terms) from a nonempty power sum."""
     if not ps.terms:
         raise ValueError("the empty power sum has no dominant part")
-    moduli = [abs(complex(root)) for _, root in ps.terms]
+    moduli = [_float_modulus(root) for _, root in ps.terms]
     alpha = max(moduli)
     at_max = [
         (poly, root)

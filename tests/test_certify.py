@@ -66,6 +66,38 @@ def candidate_residual(coefficients, n: int) -> Fraction:
     return acc
 
 
+# the checks a certificate passes: the four validators, by kind, the gf
+# link's re-expansion and the Hankel path check
+CHECKS = (
+    *(v.__name__ for v in certify_module._VALIDATORS.values()),
+    "_check_rational_gf",
+    "_check_catalan_hankel",
+)
+
+
+def count_checks(monkeypatch) -> dict:
+    """Patch every check in CHECKS to count its calls; the counts, by name."""
+    calls = dict.fromkeys(CHECKS, 0)
+
+    def counting(name, check):
+        def counted(*args):
+            calls[name] += 1
+            return check(*args)
+
+        return counted
+
+    for kind, validate in list(certify_module._VALIDATORS.items()):
+        counted = counting(validate.__name__, validate)
+        monkeypatch.setitem(certify_module._VALIDATORS, kind, counted)
+        monkeypatch.setattr(certify_module, validate.__name__, counted)  # direct calls too
+    for module, name in (
+        (gfseries_module, "_check_rational_gf"),
+        (certify_module, "_check_catalan_hankel"),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
 @contextlib.contextmanager
 def _time_limit(seconds: int):
     def expire(signum, frame):
@@ -1139,6 +1171,13 @@ class TestRefuteAll:
             assert parity.residual % 2 == 1
             poly = bundle.certificates[1]
             assert poly.residual == candidate_residual(coeffs, poly.witness_index)
+
+    def test_each_check_runs_once(self, monkeypatch):
+        # the engines build without checking; refute_all checks each
+        # certificate once, with the pair validate_document runs
+        calls = count_checks(monkeypatch)
+        refute_all(LinearRecurrence((Fraction(1, 2), 3, -2)))
+        assert calls == dict.fromkeys(CHECKS, 1)
 
     def test_hankel_bound_below_the_order_refused(self):
         # it wrote a document its own validator refuses ("below candidate order")

@@ -1,18 +1,22 @@
 """End-to-end command-line behavior."""
 
+import dataclasses
 import json
 import time
 
 import pytest
 
+import cfinite.certify as certify_module
 from cfinite import cli
-from cfinite.certify import refute_all, serialize_bundle
+from cfinite.certify import refute_all, refute_by_polynomial, serialize_bundle
 from cfinite.cli import ingest_bfile, main, parse_bfile, parse_rational_list
-from cfinite.errors import BFileError
+from cfinite.errors import BFileError, CertificateError
 from cfinite.recurrence import guess_recurrence, LinearRecurrence
 from cfinite.seqcore import catalan_convolution, fibonacci
 from test_certify import (
     BIG_DENOMINATORS,
+    CHECKS,
+    count_checks,
     DENOMINATOR_CAP_BUNDLES,
     FORGERY_ORDERS,
     forged_document,
@@ -301,6 +305,60 @@ class TestRefuteCommand:
         assert code == 2
         assert json.loads(out)["status"] == "error"
 
+    @pytest.mark.parametrize(
+        "method, checks",
+        [
+            ("all", CHECKS),
+            ("parity", ("validate_parity",)),
+            ("poly", ("validate_polynomial",)),
+            ("hankel", ("validate_hankel", "_check_catalan_hankel")),
+            ("gf", ("validate_gf", "_check_rational_gf")),
+        ],
+    )
+    def test_one_check_on_the_written_text(self, capsys, monkeypatch, tmp_path, method, checks):
+        # the builders do not check, so each check runs once, on the text
+        # that --json prints and --output writes; it ran twice before
+        calls = count_checks(monkeypatch)
+        checked = []
+        validate = certify_module.validate_serialized
+
+        def recording(text):
+            checked.append(text)
+            return validate(text)
+
+        monkeypatch.setattr(certify_module, "validate_serialized", recording)
+        path = tmp_path / "cert.json"
+        argv = ("refute", "--method", method, "--json", "--output", str(path), "--", "1/2,3,-2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls == {name: int(name in checks) for name in CHECKS}
+        assert checked == [out] == [path.read_text()]
+
+    def test_an_engine_fault_is_reported_invalid(self, capsys, monkeypatch):
+        # the polynomial engine's own check exited 2 with its CertificateError;
+        # now the one check on the written document refuses it, exit 1
+        build = certify_module._build_polynomial
+
+        def faulty(candidate):
+            cert = build(candidate)
+            return dataclasses.replace(cert, residual=cert.residual + 1)
+
+        monkeypatch.setattr(certify_module, "_build_polynomial", faulty)
+        code, out, _ = run(capsys, "refute", "--method", "poly", "4")
+        assert code == 1
+        assert out.splitlines()[-1].startswith("INVALID: stored residual")
+        with pytest.raises(CertificateError, match="stored residual"):
+            refute_by_polynomial(LinearRecurrence((4,)))
+
+    def test_past_the_digit_limit_fails_before_any_check(self, capsys, monkeypatch):
+        # p at k = 600 has a coefficient past the int/str limit: the writer
+        # refuses it before anything is checked (it was built and validated first)
+        calls = count_checks(monkeypatch)
+        code, out, err = run(capsys, "refute", "--method", "poly", "--", ",".join(["1"] * 600))
+        assert (code, out) == (2, "")
+        assert "certificate field polynomial.polynomial holds an integer of more than" in err
+        assert calls == dict.fromkeys(CHECKS, 0)
+
     def test_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "refute", "4", "--json")
         _, out2, _ = run(capsys, "refute", "4", "--json")
@@ -516,6 +574,18 @@ class TestBinetCommand:
         code, out, err = run(capsys, "binet", "--initial", "1,1", "--", "1," + str(10**200))
         assert (code, out) == (2, "")
         assert err == "error: root 1e+200+0j to the power 2 is past the float range\n"
+
+    @pytest.mark.parametrize(
+        "root, shown",
+        [("1/" + str(10**400), "1.000000e-400"), (str(10**400), "1.000000e+400")],
+        ids=["10^-400", "10^400"],
+    )
+    def test_exact_roots_past_the_float_range_are_refused(self, capsys, root, shown):
+        # 10^-400 turned into 0.0 and ended in a ZeroDivisionError traceback;
+        # 10^400 exited 2 with a bare "integer division result too large for a float"
+        code, out, err = run(capsys, "binet", "--initial", root, "--", root)
+        assert (code, out) == (2, "")
+        assert err == f"error: root {shown} has a modulus past the float range\n"
 
 
 class TestGfCommand:
