@@ -41,22 +41,24 @@ Bundles serialize to canonical JSON (sorted keys, fixed separators) with a
 sha256 digest over the payload.  One table, _FORMAT, gives each
 certificate's kind tag and its fields with the codec that writes and reads
 each, so a document has one written form and the validator refuses any
-other.  Anyone can recompute the digest, so it only detects edits; a
-forgery is caught because the validators recheck every field against the
-candidate, p by its identity at n = 1..3k+1.
+other; the reader takes a number in a string only in the writer's syntax
+("p" or "p/q" in ASCII digits).  Anyone can recompute the digest, so it
+only detects edits; a forgery is caught because the validators recheck
+every field against the candidate, p by its identity at n = 1..3k+1.
 """
 
 import hashlib
 import json
 import math
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gfseries, linalg
 from .errors import CertificateError, ResourceLimitError
-from .gfseries import linear_factor_product, Polynomial
+from .gfseries import Polynomial
 from .recurrence import LinearRecurrence, normalize_coprime
 from .schema import canonical_json as _canonical_json, SCHEMA_TAG
 from .seqcore import _term_ratio, catalan_closed, catalan_is_odd
@@ -243,30 +245,6 @@ def validate_parity(cert: ParityCertificate) -> None:
         raise CertificateError("exact residual should be odd")
 
 
-def summand_polynomial(order: int, j: int) -> Polynomial:
-    """The degree-3k factor S_j multiplying a_j in the polynomial identity.
-
-    [(x+k)_{k+1} / (x+j)] * ((x+k-1)_{k-j})**2 * (2x+2j-2)_{2j}, with the
-    first factor built by omitting (x+j) from the product, never by
-    dividing values.  This is the from-factors reference that the tests
-    compare refute_by_polynomial with; the engine builds no summand.
-    """
-    k = order
-    first = linear_factor_product((i, 1) for i in range(k + 1) if i != j)
-    second = linear_factor_product((k - 1 - t, 1) for t in range(k - j))
-    third = linear_factor_product((2 * j - 2 - t, 2) for t in range(2 * j))
-    return first * second * second * third
-
-
-def _times_factor(coeffs: list, factor: tuple) -> list:
-    """coeffs times a short factor of small integers, both low order first."""
-    out = [factor[0] * c for c in coeffs] + [0] * (len(factor) - 1)
-    for i, f in enumerate(factor[1:], 1):
-        scaled = coeffs if f == 1 else [f * c for c in coeffs]
-        out[i : i + len(coeffs)] = map(operator.add, out[i : i + len(coeffs)], scaled)
-    return out
-
-
 def polynomial_certificate_value(order: int) -> int:
     """The closed form (-1) * (-1)_k * (-2)_{2k} for p(-k), in integers:
     (-1)_k = (-1)**k k! and (-2)_{2k} = (2k+1)!."""
@@ -276,13 +254,15 @@ def polynomial_certificate_value(order: int) -> int:
 def _build_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
     """The polynomial certificate; needs order k >= 1.
 
-    p = sum_j a_j S_j with a_k = -1 (S_j as in summand_polynomial) is built
-    as P = L p in integers, from the weights w_j = L a_j cleared once.  With
+    p = sum_j a_j S_j with a_k = -1, where S_j = [(x+k)_{k+1} / (x+j)] *
+    ((x+k-1)_{k-j})**2 * (2x+2j-2)_{2j} is the degree-3k factor multiplying
+    a_j, is built as P = L p in integers, from the weights w_j = L a_j
+    cleared once.  No summand is built: with
     X = x(x+1)...(x+k-1), S_0 = (x+1)...(x+k) X**2 and the ratio S_j (x+j) =
     2(2x+2j-3) S_{j-1} give S_j = X**2 R_j (x+j+1)...(x+k), where R_0 = 1 and
     R_j = R_{j-1} (4x+4j-6).  By Horner's rule P = X**2 U_k, with U_0 = w_0
-    and U_j = U_{j-1} (x+j) + w_j R_j: passes over integer lists with small
-    multipliers, never a product of two long lists.
+    and U_j = U_{j-1} (x+j) + w_j R_j: each step convolves an integer list
+    with a short factor of small integers, never two long lists.
 
     The witness n* is the first window with a nonzero Catalan residual,
     which is the first n >= 1 with p(n) != 0 (see validate_polynomial).
@@ -297,12 +277,12 @@ def _build_polynomial(candidate: LinearRecurrence) -> PolynomialCertificate:
     weights, scale = linalg.clear_denominators(list(coefficients) + [-1])
     ratio, total = [1], [weights[0]]  # R_0 and U_0
     for j, w in enumerate(weights[1:], 1):
-        ratio = _times_factor(ratio, (4 * j - 6, 4))
-        total = _times_factor(total, (j, 1))
+        ratio = gfseries.convolve((4 * j - 6, 4), ratio, j + 1)
+        total = gfseries.convolve((j, 1), total, j + 1)
         if w:
             total = [*map(operator.add, total, [w * r for r in ratio])]
     for i in range(k):
-        total = _times_factor(total, (i * i, 2 * i, 1))  # (x+i)**2
+        total = gfseries.convolve((i * i, 2 * i, 1), total, len(total) + 2)  # (x+i)**2
     p = Polynomial(Fraction(t, scale) for t in total)
     witness, residual = _first_residual(candidate)
     value = Fraction(Polynomial(total)(-k), scale)
@@ -574,25 +554,34 @@ def _rat(value, field: str) -> str:
     return str(value)
 
 
-# What a malformed field raises while it is read.  OverflowError comes from
-# an infinite Decimal in a dict passed to document_to_bundle; JSON text
-# cannot carry one (see _load_document).
-_MALFORMED = (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError)
+# What a malformed field raises while it is read.
+_MALFORMED = (KeyError, ValueError, TypeError, ZeroDivisionError)
+
+# The number syntax the writer writes, in ASCII digits: "p" for an integer,
+# "p" or "p/q" for a rational.  No exponent, decimal point, "+", whitespace
+# or "_": what Fraction() and int() read beyond it the writer never writes,
+# and "1e10000000" would build 10**(10**7) before any check could refuse it.
+_INTEGER_TEXT = re.compile(r"-?[0-9]+")
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _int(value) -> int:
-    """An integer field: a JSON integer or a decimal string, never a bool
-    or a float (int() would read true as 1 and truncate 8.5 to 8)."""
-    if isinstance(value, (bool, float)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
+    """An integer field: a JSON integer or a string in the writer's syntax,
+    never a bool or a float (int() would read true as 1 and truncate 8.5 to 8)."""
+    if type(value) is int or isinstance(value, str) and _INTEGER_TEXT.fullmatch(value):
+        return int(value)
+    raise TypeError(f"expected an integer, got {value!r:.60}")
 
 
 def _rational(value) -> Fraction:
-    """A rational field: an integer or a "p/q" string, never a bool or a float."""
-    if isinstance(value, (bool, float)):
-        raise TypeError(f"expected a rational number, got {value!r}")
-    return Fraction(value)
+    """A rational field: a JSON integer or a "p" or "p/q" string in the
+    writer's syntax, never a bool or a float."""
+    if type(value) is int:
+        return Fraction(value)
+    match = _RATIONAL_TEXT.fullmatch(value) if isinstance(value, str) else None
+    if match:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    raise TypeError(f"expected a rational number, got {value!r:.60}")
 
 
 # A codec is a (write(value, field), read(json)) pair; `field` names the
@@ -737,15 +726,23 @@ def _reject_number(text: str):
     raise CertificateError(f"number {text} is not an integer; rationals are written as strings")
 
 
+# The refusal of a document nested deeper than the JSON parser and encoder
+# recurse (they raise RecursionError).
+_TOO_DEEP = "malformed document: nested past the JSON parser's depth limit"
+
+
 def _load_document(text: str):
     """Parse JSON text, refusing floats, NaN and Infinity: every number in a
     document is an integer, and rationals are "p/q" strings.  An integer
     literal longer than the interpreter's int conversion limit raises
-    ValueError, which is refused like any other malformed JSON."""
+    ValueError, which is refused like any other malformed JSON, and so is
+    nesting deeper than the parser recurses."""
     try:
         return json.loads(text, parse_float=_reject_number, parse_constant=_reject_number)
     except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise CertificateError(f"not valid JSON: {exc}") from exc.with_traceback(None)
+    except RecursionError as exc:
+        raise CertificateError(_TOO_DEEP) from exc.with_traceback(None)
 
 
 def parse_bundle(text: str) -> RefutationBundle:
@@ -798,6 +795,8 @@ def validate_document(doc: dict) -> RefutationBundle:
         digest = _payload_digest(doc)
     except (TypeError, ValueError) as exc:  # a dict that JSON cannot encode
         raise CertificateError(f"document is not JSON data: {exc}") from exc.with_traceback(None)
+    except RecursionError as exc:
+        raise CertificateError(_TOO_DEEP) from exc.with_traceback(None)
     if doc["sha256"] != digest:
         raise CertificateError("payload digest mismatch; the document was altered")
     candidate = doc.get("candidate")

@@ -21,7 +21,8 @@ float range) and on inputs past a resource cap (ResourceLimitError: a
 certify.ORDER_CAP: a refute candidate's or --max-order, or any a document
 given to validate names, a list in that document past certify.LIST_CAP, or
 a common denominator that a validator would clear from a document, read or
-about to be written, with more digits than sys.get_int_max_str_digits()).
+about to be written, with more digits than sys.get_int_max_str_digits()),
+and 2 when standard output is closed before everything is printed.
 
 Start-up imports only what parsing and JSON output need (seqcore, errors,
 schema); each handler imports its own engines.  `catalan` loads nothing
@@ -32,6 +33,7 @@ binet loads powersum.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -542,19 +544,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    as_json = getattr(args, "json", False)
     try:
         result = args.handler(args)
     except (CFiniteError, ValueError, OSError, OverflowError) as exc:
-        if getattr(args, "json", False):
-            doc = _wrap(args.command, "error", {"message": str(exc)})
-            print(canonical_json(doc))
-        else:
+        if not as_json:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        result = CommandResult(_wrap(args.command, "error", {"message": str(exc)}), exit_code=2)
+    try:
+        if as_json:
+            print(canonical_json(result.document))
+        elif result.human:
+            print(result.human)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # stdout was closed (`| head -n 1`): point it at devnull so that the
+        # interpreter's exit flush cannot raise again, and exit 2 as on any OSError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    if getattr(args, "json", False):
-        print(canonical_json(result.document))
-    elif result.human:
-        print(result.human)
     return result.exit_code
 
 

@@ -40,13 +40,18 @@ from cfinite.certify import (
     refute_by_polynomial,
     RefutationBundle,
     serialize_bundle,
-    summand_polynomial,
     validate_certificate,
     validate_document,
     validate_serialized,
 )
 from cfinite.errors import CertificateError, ResourceLimitError
-from cfinite.gfseries import _expansion, expand_rational, rational_gf, RationalFunction
+from cfinite.gfseries import (
+    _expansion,
+    expand_rational,
+    linear_factor_product,
+    rational_gf,
+    RationalFunction,
+)
 from cfinite.powersum import Polynomial
 from cfinite.recurrence import guess_recurrence, hankel_nonsingular_witness, LinearRecurrence
 from cfinite.schema import SCHEMA_TAG
@@ -64,6 +69,21 @@ def candidate_residual(coefficients, n: int) -> Fraction:
     for j, a in enumerate(coefficients):
         acc += Fraction(a) * catalan_closed(n + j)
     return acc
+
+
+def summand_polynomial(order: int, j: int) -> Polynomial:
+    """The degree-3k factor S_j multiplying a_j in the polynomial identity.
+
+    [(x+k)_{k+1} / (x+j)] * ((x+k-1)_{k-j})**2 * (2x+2j-2)_{2j}, with the
+    first factor built by omitting (x+j) from the product, never by
+    dividing values.  This is the from-factors reference that the tests
+    compare refute_by_polynomial with; the engine builds no summand.
+    """
+    k = order
+    first = linear_factor_product((i, 1) for i in range(k + 1) if i != j)
+    second = linear_factor_product((k - 1 - t, 1) for t in range(k - j))
+    third = linear_factor_product((2 * j - 2 - t, 2) for t in range(2 * j))
+    return first * second * second * third
 
 
 # the checks a certificate passes: the four validators, by kind, the gf
@@ -332,6 +352,32 @@ def wide_candidate_gf_bundle(order: int = 64) -> RefutationBundle:
     the stored x/(1 - 4x).  FORGED / "gf_link_wide_candidate.json" holds it."""
     candidate = LinearRecurrence(tuple(Fraction(1, 10**29 + j) for j in range(order)))
     return RefutationBundle(candidate, (refute_by_gf(TIMES_FOUR),))
+
+
+def exponent_coefficient_text() -> str:
+    """A TIMES_FOUR bundle whose candidate coefficient is "1e10000000",
+    digest recomputed.  Fraction() reads it as 10**(10**7), which took
+    7.6-10.6 s to build before the digit limit refused it.
+    FORGED / "exponent_coefficient.json" holds it."""
+    return _forge_fields(
+        serialize_bundle(refute_all(TIMES_FOUR)), _set_coefficient("1e10000000")
+    )
+
+
+# Number texts in syntaxes the writer never writes, each of which Fraction()
+# (for a rational field) or int() (for an integer field) reads as the value
+# the genuine TIMES_FOUR document holds there: the candidate coefficient 4 and
+# every Hankel determinant 1.
+OFF_SYNTAX_RATIONALS = ("4e0", "40e-1", "4.0", "+4", " 4", "4\n", "0_4", "\u0664", "8/2 ")
+OFF_SYNTAX_INTEGERS = ("+1", " 1", "1\n", "0_1", "\u0661")
+
+
+def _nested(depth: int) -> dict:
+    """A document object with `depth` nested objects under one key."""
+    doc = inner = {"schema": SCHEMA_TAG, "sha256": "0" * 64}
+    for _ in range(depth):
+        inner["nested"] = inner = {}
+    return doc
 
 
 def hankel_past_cap_text() -> str:
@@ -733,18 +779,10 @@ class TestPolynomialEngine:
         assert calls == []
         assert cert.value_at_minus_order == polynomial_certificate_value(6)
 
-    def test_engine_builds_no_summand_from_factors(self, monkeypatch):
-        calls = []
+    def test_engine_builds_no_summand_from_factors(self):
+        # the from-factors reference lives in the tests, and certify cannot call it
         for name in ("summand_polynomial", "linear_factor_product"):
-            original = getattr(certify_module, name)
-
-            def counting(*args, name=name, original=original):
-                calls.append(name)
-                return original(*args)
-
-            monkeypatch.setattr(certify_module, name, counting)
-        refute_by_polynomial(LinearRecurrence((1, 2, 3, 4, 5)))
-        assert calls == []
+            assert not hasattr(certify_module, name)
 
     def test_order_zero_delegates(self):
         with pytest.raises(ValueError):
@@ -1515,6 +1553,43 @@ class TestSerialization:
         doc["sha256"] = certify_module._payload_digest(doc)
         with pytest.raises(CertificateError, match="candidate order"):
             validate_document(doc)
+
+    def test_exponent_forgery_refused_before_it_is_built(self):
+        text = (FORGED / "exponent_coefficient.json").read_text()
+        assert text == exponent_coefficient_text()
+        start = time.perf_counter()
+        with pytest.raises(CertificateError, match="malformed document: expected a rational"):
+            validate_serialized(text)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("text", OFF_SYNTAX_RATIONALS)
+    def test_rational_read_only_in_the_written_syntax(self, text):
+        assert Fraction(text) == 4  # what the reader once read
+        forged = _forge_fields(serialize_bundle(refute_all(TIMES_FOUR)), _set_coefficient(text))
+        for read in (parse_bundle, validate_serialized):
+            with pytest.raises(CertificateError, match="malformed document"):
+                read(forged)
+
+    @pytest.mark.parametrize("text", OFF_SYNTAX_INTEGERS)
+    def test_integer_read_only_in_the_written_syntax(self, text):
+        assert int(text) == 1  # what the reader once read
+        edit = _set_kind("hankel", lambda c: c["witnesses"][0].update(determinant=text))
+        forged = _forge_fields(serialize_bundle(refute_all(TIMES_FOUR)), edit)
+        for read in (parse_bundle, validate_serialized):
+            with pytest.raises(CertificateError, match="malformed certificate fields"):
+                read(forged)
+
+    def test_deep_text_refused_as_malformed(self):
+        # the JSON parser raised RecursionError, from about 1,000 levels on
+        for read in (parse_bundle, validate_serialized):
+            with pytest.raises(CertificateError, match="depth limit") as info:
+                read("[" * 100_000 + "]" * 100_000)
+            assert info.value.__cause__.__traceback__ is None
+
+    def test_deep_document_refused_as_malformed(self):
+        # the digest's JSON encoder raised RecursionError
+        with pytest.raises(CertificateError, match="depth limit"):
+            validate_document(_nested(100_000))
 
     @pytest.mark.parametrize("name", sorted(HOLE_FORGERIES))
     def test_hole_forgeries_refused_at_once(self, name):

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -18,6 +21,7 @@ from test_certify import (
     CHECKS,
     count_checks,
     DENOMINATOR_CAP_BUNDLES,
+    FORGED,
     FORGERY_ORDERS,
     forged_document,
     forged_polynomial_text,
@@ -132,6 +136,25 @@ class TestCatalanCommand:
         code, out, _ = run(capsys, "catalan", "-n", "5", "--ballot-cap", cap, "--json")
         assert code == 2
         assert json.loads(out)["status"] == "error"
+
+    def test_closed_stdout_exits_2(self):
+        # like `cfinite catalan ... | head -n 1`: the BrokenPipeError ended in a
+        # traceback with exit 1, the status of a failed certificate
+        source = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-B", "-m", "cfinite.cli", "catalan", "-n", "3000", "--method=closed"],
+            env={**os.environ, "PYTHONPATH": source},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline().startswith(b"#")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 2
+        assert b"Traceback" not in err
 
     def test_json_is_deterministic(self, capsys):
         _, out1, _ = run(capsys, "catalan", "-n", "6", "--json")
@@ -460,6 +483,24 @@ class TestValidateCommand:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", "--input", str(tmp_path / "nope.json"))
         assert code == 2
+
+    def test_exponent_forgery_is_invalid(self, capsys):
+        # the reader built 10**(10**7) for 7.6 s, and the digit limit then exited 2
+        path = FORGED / "exponent_coefficient.json"
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert json.loads(out)["status"] == "invalid"
+
+    def test_deep_document_is_invalid(self, capsys, tmp_path):
+        # the parser's RecursionError ended in a traceback, and --json printed nothing
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "invalid" and "depth limit" in doc["payload"]["reason"]
 
 
 class TestBinetCommand:

@@ -13,6 +13,7 @@ from cfinite.gfseries import (
     degree_parity_check,
     expand_rational,
     pade_reconstruct,
+    poly_gcd,
     rational_gf,
     RationalFunction,
     sqrt_one_minus_4x,
@@ -226,6 +227,15 @@ class TestExpandRational:
     def test_rejects_zero_at_origin(self):
         with pytest.raises(ValueError):
             RationalFunction(Polynomial((1,)), Polynomial((0, 1)))
+
+    def test_gcd_with_the_longer_operand_second(self):
+        # the pseudo-remainder loop swaps its operands before the first division
+        assert poly_gcd(Polynomial((-1, 1)), Polynomial((1, 0, -1))) == Polynomial((-1, 1))
+
+    def test_reduces_a_numerator_shorter_than_its_denominator(self):
+        # (x - 1) / (1 - x^2) = -1 / (1 + x)
+        rf = RationalFunction(Polynomial((-1, 1)), Polynomial((1, 0, -1)))
+        assert (rf.numerator, rf.denominator) == (Polynomial((-1,)), Polynomial((1, 1)))
 
     def test_round_trip_random_recurrences(self):
         rng = random.Random(31)
