@@ -11,7 +11,10 @@ the classical Catalan number of index n - 1.
 
 `import cfinite` loads no submodule: each name below, and each submodule,
 is imported on first access (PEP 562), so a process pays only for what it
-uses.
+uses.  The record types (certificates, `LinearRecurrence`, `Sequence` and
+the rest) are frozen classes on `_record.Record`, not dataclasses: no
+module imports `dataclasses`, and `_record.replace` stands in for
+`dataclasses.replace`.
 """
 
 # submodule -> the names the package re-exports from it

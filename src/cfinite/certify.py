@@ -42,9 +42,10 @@ sha256 digest over the payload.  One table, _FORMAT, gives each
 certificate's kind tag and its fields with the codec that writes and reads
 each, so a document has one written form and the validator refuses any
 other; the reader takes a number in a string only in the writer's syntax
-("p" or "p/q" in ASCII digits).  Anyone can recompute the digest, so it
-only detects edits; a forgery is caught because the validators recheck
-every field against the candidate, p by its identity at n = 1..3k+1.
+("p" or "p/q" in ASCII digits), and a document given as bytes only in
+UTF-8.  Anyone can recompute the digest, so it only detects edits; a
+forgery is caught because the validators recheck every field against the
+candidate, p by its identity at n = 1..3k+1.
 """
 
 import hashlib
@@ -53,10 +54,10 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gfseries, linalg
+from ._record import Record
 from .errors import CertificateError, ResourceLimitError
 from .gfseries import Polynomial
 from .recurrence import LinearRecurrence, normalize_coprime
@@ -67,8 +68,7 @@ from .seqcore import _term_ratio, catalan_closed, catalan_is_odd
 ORDER_CAP = 1024
 
 
-@dataclass(frozen=True)
-class ParityCertificate:
+class ParityCertificate(Record):
     """Window where exactly one summand of the integer relation is odd."""
 
     coprime_vector: tuple  # (a_0, ..., a_k), coprime integers, a_k != 0
@@ -83,8 +83,7 @@ class ParityCertificate:
         return len(self.coprime_vector) - 1
 
 
-@dataclass(frozen=True)
-class PolynomialCertificate:
+class PolynomialCertificate(Record):
     """Polynomial identity with nonzero value at -k and a nonzero residual."""
 
     order: int
@@ -95,16 +94,14 @@ class PolynomialCertificate:
     residual: Fraction  # sum_{j<k} a_j C_{n*+j} - C_{n*+k}
 
 
-@dataclass(frozen=True)
-class HankelCertificate:
+class HankelCertificate(Record):
     """Nonzero window determinants for every order up to the bound."""
 
     order_bound: int
     witnesses: tuple  # (order, 1, exact determinant) per order: offset-1 windows
 
 
-@dataclass(frozen=True)
-class GfMismatchCertificate:
+class GfMismatchCertificate(Record):
     """Coefficient where the candidate's rational series leaves the Catalan one."""
 
     numerator: Polynomial
@@ -114,8 +111,7 @@ class GfMismatchCertificate:
     catalan_value: int
 
 
-@dataclass(frozen=True)
-class RefutationBundle:
+class RefutationBundle(Record):
     candidate: LinearRecurrence
     certificates: tuple
 
@@ -722,8 +718,15 @@ def document_to_bundle(doc: dict) -> RefutationBundle:
     return RefutationBundle(candidate, certificates)
 
 
-def _reject_number(text: str):
-    raise CertificateError(f"number {text} is not an integer; rationals are written as strings")
+def _refuse_literal(kind: str):
+    """A json.loads hook refusing every literal of one kind, named by its
+    length and first characters: a literal may be any length."""
+    def refuse(text: str):
+        raise CertificateError(
+            f"{kind} {text!r:.60} of {len(text)} characters is not an integer; "
+            "rationals are written as strings"
+        )
+    return refuse
 
 
 # The refusal of a document nested deeper than the JSON parser and encoder
@@ -731,21 +734,28 @@ def _reject_number(text: str):
 _TOO_DEEP = "malformed document: nested past the JSON parser's depth limit"
 
 
-def _load_document(text: str):
-    """Parse JSON text, refusing floats, NaN and Infinity: every number in a
-    document is an integer, and rationals are "p/q" strings.  An integer
-    literal longer than the interpreter's int conversion limit raises
-    ValueError, which is refused like any other malformed JSON, and so is
-    nesting deeper than the parser recurses."""
+def _load_document(text):
+    """Parse JSON text, or bytes that must be UTF-8, refusing floats, NaN
+    and Infinity: every number in a document is an integer, and rationals
+    are "p/q" strings.  Bytes that are not UTF-8, and an integer literal
+    longer than the interpreter's int conversion limit, raise ValueError,
+    which is refused like any other malformed JSON, and so is nesting deeper
+    than the parser recurses."""
     try:
-        return json.loads(text, parse_float=_reject_number, parse_constant=_reject_number)
-    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")  # json.loads would guess UTF-16 or UTF-32 too
+        return json.loads(
+            text,
+            parse_float=_refuse_literal("float literal"),
+            parse_constant=_refuse_literal("constant"),
+        )
+    except ValueError as exc:  # UnicodeDecodeError and json.JSONDecodeError are ValueErrors
         raise CertificateError(f"not valid JSON: {exc}") from exc.with_traceback(None)
     except RecursionError as exc:
         raise CertificateError(_TOO_DEEP) from exc.with_traceback(None)
 
 
-def parse_bundle(text: str) -> RefutationBundle:
+def parse_bundle(text) -> RefutationBundle:
     return document_to_bundle(_load_document(text))
 
 
@@ -818,7 +828,7 @@ def validate_document(doc: dict) -> RefutationBundle:
     return bundle
 
 
-def validate_serialized(text: str) -> RefutationBundle:
+def validate_serialized(text) -> RefutationBundle:
     return validate_document(_load_document(text))
 
 

@@ -12,7 +12,8 @@ Sequences are exchanged as b-files: '#' comment lines plus data lines
 shifted to the 1-based convention with a notice.  Rational coefficients on
 the command line use "p/q" with no whitespace, separated by commas.
 
-Exit status: 0 on success, 1 when a certificate fails validation or a
+Exit status: 0 on success, 1 when a certificate fails validation (a
+malformed document, one that is not UTF-8 included) or a
 numeric binet power sum misses b_n by more than
 powersum.RECONSTRUCTION_TOLERANCE (relative), 2 on usage or data errors
 (a refute --max-order below the candidate's order, a binet value past the
@@ -25,22 +26,23 @@ about to be written, with more digits than sys.get_int_max_str_digits()),
 and 2 when standard output is closed before everything is printed.
 
 Start-up imports only what parsing and JSON output need (seqcore, errors,
-schema); each handler imports its own engines.  `catalan` loads nothing
-more; `guess` adds recurrence (and its linalg) and formats what it finds;
-`gf catalan` adds gfseries and linalg, and a recurrence spec adds recurrence;
-refute and validate load certify with gfseries, recurrence and linalg.  Only
-binet loads powersum.
+schema, and the record base class in _record, so never dataclasses); each
+handler imports its own engines.  `catalan` loads nothing more; `guess`
+adds recurrence (and its linalg) and formats what it finds; `gf catalan`
+adds gfseries and linalg, and a recurrence spec adds recurrence; refute and
+validate load certify with gfseries, recurrence and linalg.  Only binet
+loads powersum.
 """
 
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
 from . import seqcore
+from ._record import Record
 from .errors import BFileError, CertificateError, CFiniteError
 from .schema import canonical_json, SCHEMA_TAG
 from .seqcore import Sequence
@@ -106,10 +108,9 @@ def parse_rational_list(text: str) -> tuple:
     return tuple(parse_rational(part) for part in text.split(","))
 
 
-@dataclass
-class CommandResult:
+class CommandResult(Record):
     document: dict
-    human_lines: list = field(default_factory=list)
+    human_lines: list | tuple = ()
     exit_code: int = 0
 
     @property
@@ -437,9 +438,9 @@ def _cmd_gf(args) -> CommandResult:
 def _cmd_validate(args) -> CommandResult:
     from . import certify
 
-    text = Path(args.input).read_text()
+    data = Path(args.input).read_bytes()  # certify refuses what is not UTF-8
     try:
-        bundle = certify.validate_serialized(text)
+        bundle = certify.validate_serialized(data)
     except CertificateError as exc:
         payload = {"valid": False, "reason": str(exc)}
         return CommandResult(

@@ -18,10 +18,10 @@ enough sequence terms when one exists.
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from ._record import Record
 from .errors import InsufficientDataError
 from .seqcore import Sequence
 
@@ -374,8 +374,7 @@ class TruncatedSeries:
         return f"TruncatedSeries([{head}{tail}], N={self.truncation})"
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Record):
     """p/q with q(0) != 0, stored with gcd(p, q) = 1 and q(0) = 1."""
 
     numerator: Polynomial
@@ -528,8 +527,7 @@ def pade_reconstruct(seq: Sequence, num_degree: int, den_degree: int):
     return rf
 
 
-@dataclass(frozen=True)
-class DegreeParityVerdict:
+class DegreeParityVerdict(Record):
     """Degrees of b**2 (1-4x) and a**2, and where the two sides differ."""
 
     lhs_degree: int

@@ -22,12 +22,12 @@ lives in `gfseries`, so certificates and series never load this module;
 
 import cmath
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal, InvalidOperation, localcontext, MAX_EMAX, MIN_EMIN
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
+from ._record import Record
 from .errors import ResourceLimitError, RootFindingError, SingularSystemError
 from .gfseries import _is_exact, linear_factor_product, Polynomial
 from .gfseries import poly_gcd as poly_gcd  # re-export: callers import it from here
@@ -220,8 +220,7 @@ def polynomial_roots(p: Polynomial):
     return exact + numeric
 
 
-@dataclass(frozen=True)
-class PowerSum:
+class PowerSum(Record):
     """Pairs (p_j, alpha_j) representing n -> sum_j p_j(n) * alpha_j**n.
 
     Roots are distinct and nonzero, polynomials nonzero; the empty tuple is
@@ -337,8 +336,7 @@ def binet_form(rec: LinearRecurrence, initial_terms) -> PowerSum:
     return ps
 
 
-@dataclass(frozen=True)
-class DominantPart:
+class DominantPart(Record):
     """Leading asymptotic shape n**s * alpha**n * sum_j gamma_j beta_j**n.
 
     alpha is the maximum root modulus, s the top polynomial degree among

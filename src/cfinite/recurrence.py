@@ -9,10 +9,10 @@ Q or in a single quadratic extension Q(sqrt(d)).
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from ._record import Record
 from .errors import DimensionError, InsufficientDataError, MixedRadicandError
 from .seqcore import QuadraticFieldElement, Sequence
 
@@ -25,8 +25,7 @@ def _as_coefficient(value):
     raise TypeError(f"unsupported coefficient type {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
+class LinearRecurrence(Record):
     """b_{n+k} = sum_{j<k} coefficients[j] * b_{n+j} for all n >= 1."""
 
     coefficients: tuple
@@ -64,8 +63,7 @@ class LinearRecurrence:
         return f"b(n+{self.order}) = {rhs}"
 
 
-@dataclass(frozen=True)
-class IntegerRecurrenceVector:
+class IntegerRecurrenceVector(Record):
     """Coprime integers (a_0, ..., a_k) with sum_j a_j b_{n+j} = 0, a_k != 0."""
 
     entries: tuple
@@ -85,8 +83,7 @@ class IntegerRecurrenceVector:
         return len(self.entries) - 1
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(Record):
     passed: bool
     failed_index: int | None = None
     residual: object = None

@@ -12,9 +12,9 @@ parts), and quadratic irrationals carry their radicand explicitly.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import MixedRadicandError, ResourceLimitError
 
 # Caps on the brute-force ballot enumeration: n = 13 means 2**24 words, and
@@ -37,8 +37,7 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticFieldElement:
+class QuadraticFieldElement(Record):
     """An element rational + surd*sqrt(radicand) of Q(sqrt(radicand)).
 
     The radicand must be squarefree and different from 0 and 1, so the
@@ -159,8 +158,7 @@ class QuadraticFieldElement:
         return f"{self.rational} {sign} {surd}"
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(Record):
     """An immutable 1-indexed sequence of exact numbers with a name."""
 
     name: str

@@ -1,7 +1,6 @@
 """Refutation engines, validators, and certificate serialization."""
 
 import contextlib
-import dataclasses
 import functools
 import json
 import math
@@ -21,6 +20,7 @@ import pytest
 import cfinite.certify as certify_module
 import cfinite.gfseries as gfseries_module
 from cfinite import linalg
+from cfinite._record import replace
 from cfinite.certify import (
     bundle_to_document,
     certificate_from_fields,
@@ -71,19 +71,46 @@ def candidate_residual(coefficients, n: int) -> Fraction:
     return acc
 
 
-def summand_polynomial(order: int, j: int) -> Polynomial:
-    """The degree-3k factor S_j multiplying a_j in the polynomial identity.
+def times_factors(poly: Polynomial, factors) -> Polynomial:
+    """poly times the linear polynomials c + d*x over the pairs (c, d)."""
+    for c, d in factors:
+        poly = poly * Polynomial((c, d))
+    return poly
 
-    [(x+k)_{k+1} / (x+j)] * ((x+k-1)_{k-j})**2 * (2x+2j-2)_{2j}, with the
-    first factor built by omitting (x+j) from the product, never by
+
+def summand_polynomials(order: int) -> tuple:
+    """S_0, ..., S_k: the degree-3k factor S_j multiplying a_j in the
+    polynomial identity,
+
+        [(x+k)_{k+1} / (x+j)] * ((x+k-1)_{k-j})**2 * (2x+2j-2)_{2j},
+
+    with the first factor built by omitting (x+j) from the product, never by
     dividing values.  This is the from-factors reference that the tests
     compare refute_by_polynomial with; the engine builds no summand.
+
+    The factors (x+i) below j with (2x+2j-2)_{2j} are a prefix product that
+    gains three linear factors as j rises, and the factors above j with the
+    squared block a suffix product that gains three as j falls.  S_j is the
+    longer of the two times the shorter one's linear factors, so no two
+    products of many-digit coefficients are ever multiplied.
     """
     k = order
-    first = linear_factor_product((i, 1) for i in range(k + 1) if i != j)
-    second = linear_factor_product((k - 1 - t, 1) for t in range(k - j))
-    third = linear_factor_product((2 * j - 2 - t, 2) for t in range(2 * j))
-    return first * second * second * third
+    below = [Polynomial((1,))]
+    for j in range(1, k + 1):
+        below.append(times_factors(below[-1], ((j - 1, 1), (2 * j - 2, 2), (2 * j - 3, 2))))
+    above = [Polynomial((1,))]
+    for j in range(k - 1, -1, -1):
+        above.append(times_factors(above[-1], ((j + 1, 1), (j, 1), (j, 1))))
+    above.reverse()
+    summands = []
+    for j in range(k + 1):
+        if j <= k - j:
+            lower = [(i, 1) for i in range(j)] + [(2 * j - 2 - t, 2) for t in range(2 * j)]
+            summands.append(times_factors(above[j], lower))
+        else:
+            upper = [(i, 1) for i in range(j + 1, k + 1)] + 2 * [(i, 1) for i in range(j, k)]
+            summands.append(times_factors(below[j], upper))
+    return tuple(summands)
 
 
 # the checks a certificate passes: the four validators, by kind, the gf
@@ -294,7 +321,7 @@ def _polynomial_plus_x() -> PolynomialCertificate:
     """TIMES_FOUR's polynomial certificate with p + x stored, and its own value at -1."""
     cert = refute_by_polynomial(TIMES_FOUR)
     p = cert.polynomial + Polynomial((0, 1))
-    return dataclasses.replace(cert, polynomial=p, value_at_minus_order=Fraction(p(-1)))
+    return replace(cert, polynomial=p, value_at_minus_order=Fraction(p(-1)))
 
 
 STAY = LinearRecurrence((1,))  # b(n+1) = b(n): C_2 - C_1 = 0, so window 1 has residual 0
@@ -321,7 +348,7 @@ TRUST_BOUNDARY_FORGERIES = {
     "zero_residual_witness": (
         lambda: _swap_certificate(
             STAY, 1,
-            dataclasses.replace(
+            replace(
                 refute_by_polynomial(STAY), witness_index=1, residual=Fraction(0)
             ),
         ),
@@ -331,7 +358,7 @@ TRUST_BOUNDARY_FORGERIES = {
     "witness_moved_to_a_later_window": (
         lambda: _swap_certificate(
             TIMES_FOUR, 1,
-            dataclasses.replace(
+            replace(
                 refute_by_polynomial(TIMES_FOUR), witness_index=2,
                 residual=candidate_residual((4,), 2),
             ),
@@ -441,7 +468,7 @@ def forge_polynomial(cert, extra_degree=0):
     """Add 7(x+k)(x-n*) x**extra_degree to p: p(-k) and p(n*) keep their values."""
     k, n = cert.order, cert.witness_index
     added = Polynomial((-7 * k * n, 7 * (k - n), 7)) * Polynomial((0,) * extra_degree + (1,))
-    return dataclasses.replace(cert, polynomial=cert.polynomial + added)
+    return replace(cert, polynomial=cert.polynomial + added)
 
 
 def forged_polynomial_text(k: int, extra_degree=0) -> str:
@@ -589,7 +616,7 @@ DENOMINATOR_CAP_BUNDLES = {
         lambda: RefutationBundle(
             TIMES_FOUR,
             (
-                dataclasses.replace(
+                replace(
                     refute_by_polynomial(TIMES_FOUR), polynomial=Polynomial(_wide_denominators(4))
                 ),
             ),
@@ -644,19 +671,19 @@ class TestParityEngine:
 
     def test_above_cap_keeps_parity_table_only(self):
         # documents written before the order cap may carry a null residual
-        cert = dataclasses.replace(refute_by_parity(TIMES_FOUR), residual=None)
+        cert = replace(refute_by_parity(TIMES_FOUR), residual=None)
         validate_certificate(cert)
 
     def test_validator_rejects_mutations(self):
         cert = refute_by_parity(TIMES_FOUR)
         bad = [
-            dataclasses.replace(cert, coprime_vector=(8, -1)),
-            dataclasses.replace(cert, odd_index=0),
-            dataclasses.replace(cert, window_start=4),
-            dataclasses.replace(cert, exponent=3),
-            dataclasses.replace(cert, parity_table=(1, 1)),
-            dataclasses.replace(cert, residual=5),
-            dataclasses.replace(cert, coprime_vector=(2, -2)),
+            replace(cert, coprime_vector=(8, -1)),
+            replace(cert, odd_index=0),
+            replace(cert, window_start=4),
+            replace(cert, exponent=3),
+            replace(cert, parity_table=(1, 1)),
+            replace(cert, residual=5),
+            replace(cert, coprime_vector=(2, -2)),
         ]
         for mutant in bad:
             with pytest.raises(CertificateError):
@@ -706,19 +733,23 @@ class TestPolynomialEngine:
             assert polynomial_certificate_value(k) == -ff1 * ff2
 
     def test_summand_degrees(self):
-        # the from-factors S_j have degree 3k and the ratio the engine's
-        # build rests on: S_j (x+j) = 2(2x+2j-3) S_{j-1}
+        # the from-factors S_j have degree 3k, are each the product of their
+        # own linear factors, and have the ratio the engine's build rests
+        # on: S_j (x+j) = 2(2x+2j-3) S_{j-1}
         for k in range(17):
-            previous = summand_polynomial(k, 0)
-            assert previous.degree == 3 * k
-            for j in range(1, k + 1):
-                s = summand_polynomial(k, j)
+            summands = summand_polynomials(k)
+            assert len(summands) == k + 1
+            for j, s in enumerate(summands):
                 assert s.degree == 3 * k
-                assert s * Polynomial((j, 1)) == previous * Polynomial((4 * j - 6, 4))
-                previous = s
+                factors = [(i, 1) for i in range(k + 1) if i != j]
+                factors += 2 * [(k - 1 - t, 1) for t in range(k - j)]
+                factors += [(2 * j - 2 - t, 2) for t in range(2 * j)]
+                assert s == linear_factor_product(factors)
+                if j:
+                    assert s * Polynomial((j, 1)) == summands[j - 1] * Polynomial((4 * j - 6, 4))
 
-    # the from-factors summands, built once per (k, j) across the cases
-    reference_summand = staticmethod(functools.lru_cache(maxsize=None)(summand_polynomial))
+    # the from-factors summands, built once per k across the cases
+    reference_summands = staticmethod(functools.lru_cache(maxsize=None)(summand_polynomials))
 
     @classmethod
     def assert_weighted_sum_of_reference_summands(cls, coeffs):
@@ -731,7 +762,7 @@ class TestPolynomialEngine:
         total = [0] * (3 * k + 1)
         for j, w in enumerate(weights):
             if w:  # a zero a_j adds nothing
-                total = [t + w * c for t, c in zip(total, cls.reference_summand(k, j).coeffs)]
+                total = [t + w * c for t, c in zip(total, cls.reference_summands(k)[j].coeffs)]
         expected = Polynomial(Fraction(c, scale) for c in total)
         assert cert.polynomial == expected
         assert all(type(c) is Fraction for c in cert.polynomial.coeffs)
@@ -791,11 +822,11 @@ class TestPolynomialEngine:
     def test_validator_rejects_mutations(self):
         cert = refute_by_polynomial(TIMES_FOUR)
         bad = [
-            dataclasses.replace(cert, polynomial=Polynomial((0, 0, 5))),
-            dataclasses.replace(cert, value_at_minus_order=Fraction(5)),
-            dataclasses.replace(cert, witness_index=2),
-            dataclasses.replace(cert, residual=Fraction(4)),
-            dataclasses.replace(cert, coefficients=(Fraction(5),)),
+            replace(cert, polynomial=Polynomial((0, 0, 5))),
+            replace(cert, value_at_minus_order=Fraction(5)),
+            replace(cert, witness_index=2),
+            replace(cert, residual=Fraction(4)),
+            replace(cert, coefficients=(Fraction(5),)),
         ]
         for mutant in bad:
             with pytest.raises(CertificateError):
@@ -866,9 +897,9 @@ class TestHankelEngine:
     def test_validator_rejects_mutations(self):
         cert = refute_by_hankel(2)
         bad = [
-            dataclasses.replace(cert, witnesses=cert.witnesses[:-1]),
-            dataclasses.replace(cert, witnesses=((0, 1, 1), (1, 1, 2), cert.witnesses[2])),
-            dataclasses.replace(cert, witnesses=((0, 1, 0), *cert.witnesses[1:])),
+            replace(cert, witnesses=cert.witnesses[:-1]),
+            replace(cert, witnesses=((0, 1, 1), (1, 1, 2), cert.witnesses[2])),
+            replace(cert, witnesses=((0, 1, 0), *cert.witnesses[1:])),
         ]
         for mutant in bad:
             with pytest.raises(CertificateError):
@@ -938,7 +969,7 @@ class TestHankelEngine:
         cert = refute_by_hankel(2)
         for bound in (-1, 1, 3, 10**30):
             with pytest.raises(CertificateError, match="cannot cover orders"):
-                validate_certificate(dataclasses.replace(cert, order_bound=bound))
+                validate_certificate(replace(cert, order_bound=bound))
         with pytest.raises(CertificateError, match="cannot cover orders"):
             validate_certificate(HankelCertificate(-1, ()))
 
@@ -990,7 +1021,7 @@ class TestHankelEngine:
             ((0, 1, 0), (1, 1, 1), "zero determinant certifies nothing at order 0"),
         ]
         for first, second, message in cases:
-            mutant = dataclasses.replace(cert, witnesses=(first, second, *cert.witnesses[2:]))
+            mutant = replace(cert, witnesses=(first, second, *cert.witnesses[2:]))
             with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
                 validate_certificate(mutant)
 
@@ -1169,10 +1200,10 @@ class TestGfEngine:
     def test_validator_rejects_mutations(self):
         cert = refute_by_gf(TIMES_FOUR)
         bad = [
-            dataclasses.replace(cert, mismatch_index=3),
-            dataclasses.replace(cert, series_value=Fraction(5)),
-            dataclasses.replace(cert, catalan_value=4),
-            dataclasses.replace(cert, denominator=Polynomial((1, -3))),
+            replace(cert, mismatch_index=3),
+            replace(cert, series_value=Fraction(5)),
+            replace(cert, catalan_value=4),
+            replace(cert, denominator=Polynomial((1, -3))),
         ]
         for mutant in bad:
             with pytest.raises(CertificateError):
@@ -1402,7 +1433,7 @@ class TestSerialization:
         kinds = [kind for kind, _ in table.values()]
         assert sorted(kinds) == sorted(set(kinds))
         for cls, (_, fields) in table.items():
-            assert [name for name, _ in fields] == [f.name for f in dataclasses.fields(cls)]
+            assert [name for name, _ in fields] == list(cls._fields)
 
     @pytest.mark.parametrize("name", sorted(NON_CANONICAL_FORMS))
     def test_non_canonical_forms_refused(self, name):
@@ -1585,6 +1616,25 @@ class TestSerialization:
             with pytest.raises(CertificateError, match="depth limit") as info:
                 read("[" * 100_000 + "]" * 100_000)
             assert info.value.__cause__.__traceback__ is None
+
+    def test_number_literal_refusal_is_bounded(self):
+        # the whole literal was once put into the reason
+        doc = "[1." + "2" * 200_000 + "]"
+        with pytest.raises(CertificateError, match="float literal '1.222.* of 200002 characters") as info:
+            validate_serialized(doc)
+        assert len(str(info.value)) < 200
+        for constant in ("NaN", "-Infinity"):
+            with pytest.raises(CertificateError, match=f"constant '{constant}' of {len(constant)} characters"):
+                parse_bundle(f"[{constant}]")
+
+    def test_bytes_are_read_as_utf8_only(self):
+        text = serialize_bundle(refute_all(TIMES_FOUR))
+        for read in (parse_bundle, validate_serialized):
+            assert read(text.encode("utf-8")) == read(text)
+            # json.loads would take a UTF-16 document, and read b"\xff\xfe{}" as U+7D7B
+            for data in (b"\xff\xfe{}", text.encode("utf-16"), b"\x80"):
+                with pytest.raises(CertificateError, match="not valid JSON: 'utf-8' codec"):
+                    read(data)
 
     def test_deep_document_refused_as_malformed(self):
         # the digest's JSON encoder raised RecursionError

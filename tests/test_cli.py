@@ -1,6 +1,5 @@
 """End-to-end command-line behavior."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +10,7 @@ import pytest
 
 import cfinite.certify as certify_module
 from cfinite import cli
+from cfinite._record import replace
 from cfinite.certify import refute_all, refute_by_polynomial, serialize_bundle
 from cfinite.cli import ingest_bfile, main, parse_bfile, parse_rational_list
 from cfinite.errors import BFileError, CertificateError
@@ -364,7 +364,7 @@ class TestRefuteCommand:
 
         def faulty(candidate):
             cert = build(candidate)
-            return dataclasses.replace(cert, residual=cert.residual + 1)
+            return replace(cert, residual=cert.residual + 1)
 
         monkeypatch.setattr(certify_module, "_build_polynomial", faulty)
         code, out, _ = run(capsys, "refute", "--method", "poly", "4")
@@ -501,6 +501,24 @@ class TestValidateCommand:
         assert code == 1
         doc = json.loads(out)
         assert doc["status"] == "invalid" and "depth limit" in doc["payload"]["reason"]
+
+    def test_non_utf8_document_is_invalid(self, capsys, tmp_path):
+        # reading it as text raised UnicodeDecodeError, a usage error: exit 2, status error
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "invalid" and "'utf-8' codec" in doc["payload"]["reason"]
+
+    def test_long_number_literal_refusal_is_short(self, capsys, tmp_path):
+        # the reason once held the whole literal: 200,167 bytes of output
+        path = tmp_path / "float.json"
+        path.write_text("[1." + "2" * 200_000 + "]")
+        code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
+        assert code == 1
+        assert len(out) < 1000
+        assert json.loads(out)["status"] == "invalid"
 
 
 class TestBinetCommand:

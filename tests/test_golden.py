@@ -13,7 +13,6 @@ To rewrite them after a deliberate format change, run
 `PYTHONPATH=src python tests/test_golden.py` and say why in the change.
 """
 
-import dataclasses
 import os
 import random
 from fractions import Fraction
@@ -22,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from cfinite import linalg
+from cfinite._record import replace
 from cfinite.certify import (
     parse_bundle,
     refute_all,
@@ -53,7 +53,7 @@ def _null_residual(coefficients) -> RefutationBundle:
     """A parity-only bundle with a null residual, as written before the order
     cap for windows past C_5000."""
     candidate = LinearRecurrence(coefficients)
-    cert = dataclasses.replace(refute_by_parity(candidate), residual=None)
+    cert = replace(refute_by_parity(candidate), residual=None)
     return RefutationBundle(candidate, (cert,))
 
 

@@ -104,24 +104,32 @@ CERTIFICATE = Path(__file__).resolve().parent / "fixtures" / "order2.json"
 FOOTPRINTS = {
     ("catalan", "-n", "13", "--json"): (
         {"cfinite.seqcore"},
-        {"cfinite.certify", "hashlib", "cfinite.powersum", "numpy"},
+        {"cfinite.certify", "hashlib", "cfinite.powersum", "numpy", "dataclasses", "inspect"},
     ),
     ("guess", "--terms", "1,1,2,3,5,8,13,21,34,55", "--json"): (
         {"cfinite.recurrence", "cfinite.linalg"},
-        {"cfinite.certify", "hashlib", "cfinite.powersum", "numpy"},
+        {"cfinite.certify", "hashlib", "cfinite.powersum", "numpy", "dataclasses", "inspect"},
     ),
     ("gf", "catalan", "--json"): (
         {"cfinite.gfseries"},
-        {"cfinite.certify", "hashlib", "cfinite.powersum", "cfinite.recurrence", "numpy"},
+        {
+            "cfinite.certify", "hashlib", "cfinite.powersum", "cfinite.recurrence", "numpy",
+            "dataclasses", "inspect",
+        },
     ),
     # certificates use exact polynomials from gfseries, never the numeric tier
     ("refute", "4", "--json"): (
         {"cfinite.certify", "cfinite.gfseries", "cfinite.recurrence", "cfinite.linalg", "hashlib"},
-        {"cfinite.powersum", "numpy"},
+        {"cfinite.powersum", "numpy", "dataclasses", "inspect"},
     ),
     ("validate", "--input", str(CERTIFICATE), "--json"): (
         {"cfinite.certify", "cfinite.gfseries", "cfinite.recurrence", "cfinite.linalg", "hashlib"},
-        {"cfinite.powersum", "numpy"},
+        {"cfinite.powersum", "numpy", "dataclasses", "inspect"},
+    ),
+    # the numeric tier, still on the standard library alone
+    ("binet", "--initial", "1,1", "--json", "--", "1,1"): (
+        {"cfinite.powersum", "cfinite.recurrence", "cfinite.gfseries"},
+        {"cfinite.certify", "hashlib", "numpy", "dataclasses", "inspect"},
     ),
 }
 
@@ -131,6 +139,18 @@ def test_subcommand_imports_only_its_engines(argv):
     needed, unused = FOOTPRINTS[argv]
     imported = _imported("-m", "cfinite.cli", *argv)
     assert needed <= imported
+    assert imported & unused == set()
+
+
+def test_cli_import_loads_no_engine():
+    # what every command pays before its handler runs: `dataclasses` alone
+    # would add `inspect`, `ast` and `tokenize`
+    imported = _imported("-c", "import cfinite.cli")
+    assert {"cfinite.cli", "cfinite.seqcore", "cfinite.schema"} <= imported
+    unused = {
+        "cfinite.certify", "cfinite.gfseries", "cfinite.recurrence", "cfinite.linalg",
+        "cfinite.powersum", "hashlib", "numpy", "dataclasses", "inspect",
+    }
     assert imported & unused == set()
 
 
