@@ -52,7 +52,6 @@ import hashlib
 import json
 import math
 import operator
-import re
 import sys
 from fractions import Fraction
 
@@ -61,7 +60,8 @@ from ._record import Record
 from .errors import CertificateError, ResourceLimitError
 from .gfseries import Polynomial
 from .recurrence import LinearRecurrence, normalize_coprime
-from .schema import canonical_json as _canonical_json, SCHEMA_TAG
+from .schema import _shown, canonical_json as _canonical_json, INTEGER_TEXT, past_digit_limit
+from .schema import RATIONAL_TEXT, SCHEMA_TAG
 from .seqcore import _term_ratio, catalan_closed, catalan_is_odd
 
 # At 1,024 every parity window ends by C_5120, about 3,100 digits.
@@ -121,12 +121,9 @@ def _check_order_cap(what: str, order: int) -> None:
         raise ResourceLimitError(f"{what} {order} is past the cap of {ORDER_CAP}")
 
 
-def _shown(value) -> str:
-    """value as text for a refusal message, which must not raise itself."""
-    try:
-        return str(value)
-    except ValueError:  # an integer past sys.get_int_max_str_digits()
-        return "a number too long to print"
+def _refusal(template: str, *values) -> CertificateError:
+    """The refusal template.format(*values) with each value _shown."""
+    return CertificateError(template.format(*map(_shown, values)))
 
 
 def _digit_limit() -> int:
@@ -153,11 +150,7 @@ def _check_common_denominator(values, what: str) -> None:
     for x in values:
         scale = math.lcm(scale, x.denominator)
         if not _fits(scale, limit):
-            raise ResourceLimitError(
-                f"{what}: a common denominator has more than {limit} digits, past the "
-                f"int/str conversion limit documents are read with "
-                f"(sys.get_int_max_str_digits() = {limit})"
-            )
+            raise past_digit_limit(f"{what}: a common denominator has", limit)
 
 
 def _candidate_rational(candidate: LinearRecurrence):
@@ -228,7 +221,7 @@ def validate_parity(cert: ParityCertificate) -> None:
         raise CertificateError("coefficient vector is not coprime")
     derived = _parity_window(vector)
     if (cert.odd_index, cert.exponent, cert.window_start, cert.parity_table) != derived:
-        raise CertificateError(f"window or parity table is not {derived} derived from the vector")
+        raise _refusal("window or parity table is not {} derived from the vector", derived)
     if sum(cert.parity_table) != 1:
         raise CertificateError("window does not isolate exactly one odd summand")
     _check_order_cap("parity vector order", len(vector) - 1)
@@ -236,7 +229,7 @@ def validate_parity(cert: ParityCertificate) -> None:
         return
     exact = _window_sums(vector, cert.window_start, 1)[0]
     if cert.residual != exact:
-        raise CertificateError(f"stored residual {cert.residual} != recomputed {_shown(exact)}")
+        raise _refusal("stored residual {} != recomputed {}", cert.residual, exact)
     if cert.residual % 2 == 0:
         raise CertificateError("exact residual should be odd")
 
@@ -300,7 +293,7 @@ def validate_polynomial(cert: PolynomialCertificate) -> None:
     """
     k = cert.order
     if k < 1 or len(cert.coefficients) != k:
-        raise CertificateError(f"need k >= 1 coefficients, got order {k}")
+        raise _refusal("need k >= 1 coefficients, got order {}", k)
     p = cert.polynomial
     if p.degree > 3 * k:
         raise CertificateError(f"certificate polynomial must have degree <= {3 * k}")
@@ -313,7 +306,7 @@ def validate_polynomial(cert: PolynomialCertificate) -> None:
         raise CertificateError("value at -k does not match the closed form")
     n = cert.witness_index
     if not 1 <= n <= 3 * k + 1:
-        raise CertificateError(f"witness index {n} outside 1..{3 * k + 1}")
+        raise _refusal("witness index {} outside 1..{}", n, 3 * k + 1)
     vector = normalize_coprime(LinearRecurrence(cert.coefficients)).entries
     sums = _window_sums(vector, 1, 3 * k + 1)
     for m, s in enumerate(sums, 1):
@@ -323,7 +316,7 @@ def validate_polynomial(cert: PolynomialCertificate) -> None:
             raise CertificateError(f"p({m}) != M({k}, {m}) * residual({m}): not the candidate's p")
     residual = Fraction(sums[n - 1], -vector[-1])
     if residual != cert.residual:
-        raise CertificateError(f"stored residual {cert.residual} != recomputed {_shown(residual)}")
+        raise _refusal("stored residual {} != recomputed {}", cert.residual, residual)
     if residual == 0:
         raise CertificateError("residual must be nonzero")
     if any(sums[: n - 1]):
@@ -387,19 +380,17 @@ def validate_hankel(cert: HankelCertificate) -> None:
     """
     bound = cert.order_bound
     if bound < 0 or len(cert.witnesses) != bound + 1:
-        raise CertificateError(
-            f"{len(cert.witnesses)} witness(es) cannot cover orders 0..{bound}"
-        )
+        raise _refusal("{} witness(es) cannot cover orders 0..{}", len(cert.witnesses), bound)
     _check_order_cap("hankel order bound", bound)
     for k, (order, offset, det) in enumerate(cert.witnesses):
         if (order, offset) != (k, 1):
-            raise CertificateError(
-                f"witness {k} is at order {order}, offset {offset}; need order {k}, offset 1"
+            raise _refusal(
+                "witness {} is at order {}, offset {}; need order {}, offset 1", k, order, offset, k
             )
         if det == 0:
             raise CertificateError(f"zero determinant certifies nothing at order {k}")
         if det != 1:
-            raise CertificateError(f"order {k}: stored determinant {det} != 1, the Catalan value")
+            raise _refusal("order {}: stored determinant {} != 1, the Catalan value", k, det)
     _check_catalan_hankel(bound)
 
 
@@ -451,7 +442,7 @@ def validate_gf(cert: GfMismatchCertificate) -> None:
     degree = max(p.degree, q.degree)
     n = cert.mismatch_index
     if not 1 <= n <= 2 * degree + 1:
-        raise CertificateError(f"mismatch index {n} outside 1..{2 * degree + 1}")
+        raise _refusal("mismatch index {} outside 1..{}", n, 2 * degree + 1)
     _check_order_cap("gf degree", degree)
     ints, _ = linalg.clear_denominators(p.coeffs + q.coeffs)
     big_p, (q0, *q_tail) = ints[: len(p.coeffs)], ints[len(p.coeffs) :]
@@ -471,11 +462,9 @@ def validate_gf(cert: GfMismatchCertificate) -> None:
         found = f"it leaves C_{first} first" if first else f"it matches C_1..C_{n}"
         raise CertificateError(f"mismatch index {n} is not the series' first departure: {found}")
     if s != cert.series_value:
-        raise CertificateError(
-            f"stored series value {cert.series_value} != recomputed {_shown(s)}"
-        )
+        raise _refusal("stored series value {} != recomputed {}", cert.series_value, s)
     if catalan[-1] != cert.catalan_value:
-        raise CertificateError(f"stored Catalan value {cert.catalan_value} != exact {catalan[-1]}")
+        raise _refusal("stored Catalan value {} != exact {}", cert.catalan_value, catalan[-1])
 
 
 _VALIDATORS = {
@@ -535,11 +524,7 @@ def _written(value: int, field: str) -> int:
     them and are not checked."""
     limit = _digit_limit()
     if not _fits(value, limit):
-        raise ResourceLimitError(
-            f"certificate field {field} holds an integer of more than {limit} digits, "
-            f"past the int/str conversion limit documents are read with "
-            f"(sys.get_int_max_str_digits() = {limit})"
-        )
+        raise past_digit_limit(f"certificate field {field} holds an integer of", limit)
     return value
 
 
@@ -553,18 +538,11 @@ def _rat(value, field: str) -> str:
 # What a malformed field raises while it is read.
 _MALFORMED = (KeyError, ValueError, TypeError, ZeroDivisionError)
 
-# The number syntax the writer writes, in ASCII digits: "p" for an integer,
-# "p" or "p/q" for a rational.  No exponent, decimal point, "+", whitespace
-# or "_": what Fraction() and int() read beyond it the writer never writes,
-# and "1e10000000" would build 10**(10**7) before any check could refuse it.
-_INTEGER_TEXT = re.compile(r"-?[0-9]+")
-_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
 
 def _int(value) -> int:
     """An integer field: a JSON integer or a string in the writer's syntax,
     never a bool or a float (int() would read true as 1 and truncate 8.5 to 8)."""
-    if type(value) is int or isinstance(value, str) and _INTEGER_TEXT.fullmatch(value):
+    if type(value) is int or isinstance(value, str) and INTEGER_TEXT.fullmatch(value):
         return int(value)
     raise TypeError(f"expected an integer, got {value!r:.60}")
 
@@ -574,7 +552,7 @@ def _rational(value) -> Fraction:
     writer's syntax, never a bool or a float."""
     if type(value) is int:
         return Fraction(value)
-    match = _RATIONAL_TEXT.fullmatch(value) if isinstance(value, str) else None
+    match = RATIONAL_TEXT.fullmatch(value) if isinstance(value, str) else None
     if match:
         return Fraction(int(match[1]), int(match[2] or 1))
     raise TypeError(f"expected a rational number, got {value!r:.60}")
@@ -652,10 +630,8 @@ def certificate_from_fields(fields: dict):
             if kind == tag:
                 return cls(**{name: read(fields[name]) for name, (_, read) in codecs})
     except _MALFORMED as exc:
-        raise CertificateError(
-            f"malformed certificate fields: {exc}"
-        ) from exc.with_traceback(None)
-    raise CertificateError(f"unknown certificate kind {fields.get('kind')!r}")
+        raise _refusal("malformed certificate fields: {}", exc) from exc.with_traceback(None)
+    raise _refusal("unknown certificate kind {}", repr(fields.get("kind")))
 
 
 def _payload_digest(payload: dict) -> str:
@@ -714,7 +690,7 @@ def document_to_bundle(doc: dict) -> RefutationBundle:
         )
         certificates = tuple(certificate_from_fields(f) for f in doc["certificates"])
     except _MALFORMED as exc:
-        raise CertificateError(f"malformed document: {exc}") from exc.with_traceback(None)
+        raise _refusal("malformed document: {}", exc) from exc.with_traceback(None)
     return RefutationBundle(candidate, certificates)
 
 
@@ -798,7 +774,7 @@ def validate_document(doc: dict) -> RefutationBundle:
     if not isinstance(doc, dict):
         raise CertificateError("document must be a JSON object")
     if doc.get("schema") != SCHEMA_TAG:
-        raise CertificateError(f"schema tag {doc.get('schema')!r} != {SCHEMA_TAG!r}")
+        raise _refusal("schema tag {} != {}", repr(doc.get("schema")), repr(SCHEMA_TAG))
     if "sha256" not in doc:
         raise CertificateError("document carries no digest")
     try:
@@ -836,9 +812,9 @@ def _check_candidate_link(cert, candidate: LinearRecurrence) -> None:
     if isinstance(cert, ParityCertificate):
         expected = normalize_coprime(candidate).entries
         if cert.coprime_vector != expected:
-            raise CertificateError(
-                f"parity vector {cert.coprime_vector} is not the candidate's "
-                f"coprime normalization {_shown(expected)}"
+            raise _refusal(
+                "parity vector {} is not the candidate's coprime normalization {}",
+                cert.coprime_vector, expected,
             )
     elif isinstance(cert, PolynomialCertificate):
         if cert.coefficients != candidate.coefficients:

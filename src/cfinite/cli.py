@@ -9,21 +9,22 @@ document).
 
 Sequences are exchanged as b-files: '#' comment lines plus data lines
 "<index> <value>" with indices increasing by 1.  Inputs indexed from 0 are
-shifted to the 1-based convention with a notice.  Rational coefficients on
-the command line use "p/q" with no whitespace, separated by commas.
+shifted to the 1-based convention with a notice.  B-file fields ("p") and
+the command line's comma-separated rationals ("p" or "p/q", q > 0) are read
+in the documents' number syntax, in ASCII digits (schema.RATIONAL_TEXT).
 
 Exit status: 0 on success, 1 when a certificate fails validation (a
-malformed document, one that is not UTF-8 included) or a
-numeric binet power sum misses b_n by more than
-powersum.RECONSTRUCTION_TOLERANCE (relative), 2 on usage or data errors
-(a refute --max-order below the candidate's order, a binet value past the
-float range) and on inputs past a resource cap (ResourceLimitError: a
---ballot-cap above seqcore.BALLOT_CAP_MAX, an order above
-certify.ORDER_CAP: a refute candidate's or --max-order, or any a document
-given to validate names, a list in that document past certify.LIST_CAP, or
-a common denominator that a validator would clear from a document, read or
-about to be written, with more digits than sys.get_int_max_str_digits()),
-and 2 when standard output is closed before everything is printed.
+malformed document, one that is not UTF-8 included) or a numeric binet
+power sum misses b_n by more than powersum.RECONSTRUCTION_TOLERANCE
+(relative), 2 on usage or data errors (a refute --max-order below the
+candidate's order, a binet value past the float range) and on inputs past
+a resource cap (ResourceLimitError: a number with more digits than
+sys.get_int_max_str_digits(), a --ballot-cap above seqcore.BALLOT_CAP_MAX,
+an order above certify.ORDER_CAP: a refute candidate's or --max-order, or
+any a document given to validate names, a list in that document past
+certify.LIST_CAP, or a common denominator that a validator would clear
+from a document, read or about to be written, with more digits than that
+limit), and 2 when standard output is closed before everything is printed.
 
 Start-up imports only what parsing and JSON output need (seqcore, errors,
 schema, and the record base class in _record, so never dataclasses); each
@@ -44,7 +45,7 @@ from typing import NamedTuple
 from . import seqcore
 from ._record import Record
 from .errors import BFileError, CertificateError, CFiniteError
-from .schema import canonical_json, SCHEMA_TAG
+from .schema import _shown, canonical_json, INTEGER_TEXT, past_digit_limit, RATIONAL_TEXT, SCHEMA_TAG
 from .seqcore import Sequence
 
 CATALAN_METHODS = ("ballot", "convolution", "closed", "holonomic")
@@ -64,17 +65,17 @@ def parse_bfile(text: str) -> list:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise BFileError(f"expected '<index> <value>', got {raw!r}", lineno)
-        try:
-            index, value = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise BFileError(f"non-integer field in {raw!r}", lineno) from None
+            raise BFileError(f"expected '<index> <value>', got {raw!r:.60}", lineno)
+        if not all(map(INTEGER_TEXT.fullmatch, parts)):
+            raise BFileError(f"non-integer field in {raw!r:.60}", lineno)
+        index, value = (_integer(part, f"line {lineno}: a field") for part in parts)
         if records:
             if index == records[-1].index:
-                raise BFileError(f"duplicate index {index}", lineno)
+                raise BFileError(f"duplicate index {_shown(index)}", lineno)
             if index != records[-1].index + 1:
                 raise BFileError(
-                    f"indices must increase by 1: {records[-1].index} then {index}", lineno
+                    f"indices must increase by 1: {_shown(records[-1].index)} then {_shown(index)}",
+                    lineno,
                 )
         records.append(BFileRecord(index, value))
     if not records:
@@ -89,15 +90,24 @@ def ingest_bfile(path) -> tuple:
     records = parse_bfile(path.read_text())
     note = None
     if records[0].index != 1:
-        note = f"input indexed from {records[0].index}; re-indexed to start at 1"
+        note = f"input indexed from {_shown(records[0].index)}; re-indexed to start at 1"
     return Sequence(path.name, tuple(r.value for r in records)), note
 
 
-def parse_rational(text: str) -> Fraction:
+def _integer(digits: str, what: str) -> int:
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r} ({exc})") from None
+        return int(digits)
+    except ValueError:  # the digits matched the syntax: int() refuses them only past the limit
+        raise past_digit_limit(f"{what} has", sys.get_int_max_str_digits()) from None
+
+
+def parse_rational(text: str) -> Fraction:
+    """"p" or "p/q", q > 0, in ASCII digits (schema.RATIONAL_TEXT), spaces around it stripped."""
+    match = RATIONAL_TEXT.fullmatch(text.strip())
+    if not match or match[2] and not match[2].strip("0"):  # q = 0
+        raise ValueError(f"not a rational number: {text!r:.60}; write p or p/q with q > 0")
+    what = f"number {text.strip()!r:.60}"
+    return Fraction(_integer(match[1], what), _integer(match[2] or "1", what))
 
 
 def parse_rational_list(text: str) -> tuple:
@@ -276,8 +286,9 @@ def _cmd_refute(args) -> CommandResult:
             f"lone power of two at n + {c.odd_index} = 2^{c.exponent}, exact residual {c.residual}"
         ),
         certify.PolynomialCertificate: lambda c: (
-            f"polynomial: deg p = {c.polynomial.degree}, p(-{c.order}) = {_brief(c.value_at_minus_order)}, "
-            f"residual {_brief(c.residual)} at n = {c.witness_index}"
+            f"polynomial: deg p = {c.polynomial.degree}, "
+            f"p(-{c.order}) = {_shown(c.value_at_minus_order)}, "
+            f"residual {_shown(c.residual)} at n = {c.witness_index}"
         ),
         certify.HankelCertificate: lambda c: (
             f"hankel: nonzero window determinants for orders 0..{c.order_bound}"
@@ -295,12 +306,6 @@ def _cmd_refute(args) -> CommandResult:
         Path(args.output).write_text(text)
         lines.append(f"wrote {args.output}")
     return CommandResult(doc, lines)
-
-
-def _brief(value: Fraction) -> str:
-    """value as text, past 48 characters cut to its first 24 and its length."""
-    text = str(value)
-    return text if len(text) <= 48 else f"{text[:24]}... ({len(text)} characters)"
 
 
 def _root_display(root) -> str:

@@ -288,6 +288,55 @@ HOLE_FORGERIES = {
 }
 
 
+def wide_parity_vector_text() -> str:
+    """TIMES_FOUR's document with a genuine parity certificate for the
+    order-64 vector (10**999, ..., 10**999 + 64), which is not the
+    candidate's: the validator accepts it and the candidate link refuses it."""
+    vector = tuple(10**999 + j for j in range(65))
+    window_start = certify_module._parity_window(vector)[2]
+    cert = _parity_of(vector, certify_module._window_sums(vector, window_start, 1)[0])
+    return serialize_bundle(RefutationBundle(TIMES_FOUR, (cert,)))
+
+
+# Re-digested documents whose refusal once printed a document value whole:
+# a 200,000-character kind or schema tag gave a reason of 200,027 or 200,033
+# characters, the vector above one of 64,662 (the link printed both vectors),
+# and each 4,000-digit stored value one of over 4,000; (maker, reason pattern).
+LONG_VALUE_FORGERIES = {
+    "kind": (
+        lambda: _forge_fields(
+            serialize_bundle(refute_all(TIMES_FOUR)),
+            lambda doc: doc["certificates"][0].update(kind="k" * 200_000),
+        ),
+        "unknown certificate kind 'kkk",
+    ),
+    "schema_tag": (
+        lambda: _forge_fields(
+            serialize_bundle(refute_all(TIMES_FOUR)), lambda doc: doc.update(schema="s" * 200_000)
+        ),
+        "schema tag 'sss",
+    ),
+    "parity_vector": (wide_parity_vector_text, "is not the candidate's coprime normalization"),
+    "parity_residual": (
+        lambda: _forge_kind(TIMES_FOUR, "parity", residual=int("7" * 4000)), "stored residual 777"
+    ),
+    "polynomial_residual": (
+        lambda: _forge_kind(TIMES_FOUR, "polynomial", residual="7" * 4000), "stored residual 777"
+    ),
+    "hankel_determinant": (
+        lambda: _forge_witness(0, determinant="7" * 4000), "stored determinant 777"
+    ),
+    "gf_series_value": (
+        lambda: _forge_kind(TIMES_FOUR, "gf-mismatch", series_value="7" * 4000),
+        "stored series value 777",
+    ),
+    "gf_catalan_value": (
+        lambda: _forge_kind(TIMES_FOUR, "gf-mismatch", catalan_value="7" * 4000),
+        "stored Catalan value 777",
+    ),
+}
+
+
 THREE = LinearRecurrence((3,))
 
 
@@ -498,12 +547,15 @@ def reference_validate_gf(cert: GfMismatchCertificate) -> None:
     if first != n:
         found = f"it leaves C_{first} first" if first else f"it matches C_1..C_{n}"
         raise CertificateError(f"mismatch index {n} is not the series' first departure: {found}")
+    shown = certify_module._shown  # every value a refusal prints is bounded
     if s != cert.series_value:
         raise CertificateError(
-            f"stored series value {cert.series_value} != recomputed {certify_module._shown(s)}"
+            f"stored series value {shown(cert.series_value)} != recomputed {shown(s)}"
         )
     if catalan[-1] != cert.catalan_value:
-        raise CertificateError(f"stored Catalan value {cert.catalan_value} != exact {catalan[-1]}")
+        raise CertificateError(
+            f"stored Catalan value {shown(cert.catalan_value)} != exact {shown(catalan[-1])}"
+        )
 
 
 def _refusal(check, cert) -> str | None:
@@ -1171,7 +1223,8 @@ class TestGfEngine:
                     continue
                 refusal = _refusal(certify_module.validate_gf, forged)
                 assert refusal == _refusal(reference_validate_gf, forged)
-                refusals.add(refusal and re.sub(r"[-/\d]+", "N", refusal))
+                # a value past 60 characters is shown as its start and length
+                refusals.add(refusal and re.sub(r"[-/\d]+(\.\.\. \(\d+ characters\))?", "N", refusal))
         assert refusals == {
             None,  # a leading digit turned to 0
             "denominator must be nonzero at N",
@@ -1649,6 +1702,21 @@ class TestSerialization:
         with _time_limit(1), pytest.raises(CertificateError, match=reason):
             validate_serialized(forged)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("name", sorted(LONG_VALUE_FORGERIES))
+    def test_refusal_of_a_long_value_is_short(self, name):
+        make, reason = LONG_VALUE_FORGERIES[name]
+        with pytest.raises(CertificateError, match=reason) as info:
+            validate_serialized(make())
+        assert len(str(info.value)) < 300
+
+    def test_shown_bounds_a_long_value_only(self):
+        shown = certify_module._shown
+        assert shown("7" * 60) == "7" * 60  # printed as before
+        assert shown(Fraction(-7, 3)) == "-7/3"
+        assert shown(int("7" * 4000)) == "7" * 40 + "... (4000 characters)"
+        assert len(shown((10**999,) * 65)) <= 60 + 5  # 60 characters and a 5-digit length
+        assert shown(10**5000) == "a number too long to print"
 
     def test_malformed_refusals_chain_a_cause_without_traceback(self):
         # a traceback would keep the frames of the refused document alive

@@ -5,15 +5,16 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import cfinite.certify as certify_module
-from cfinite import cli
+from cfinite import cli, schema
 from cfinite._record import replace
 from cfinite.certify import refute_all, refute_by_polynomial, serialize_bundle
 from cfinite.cli import ingest_bfile, main, parse_bfile, parse_rational_list
-from cfinite.errors import BFileError, CertificateError
+from cfinite.errors import BFileError, CertificateError, ResourceLimitError
 from cfinite.recurrence import guess_recurrence, LinearRecurrence
 from cfinite.seqcore import catalan_convolution, fibonacci
 from test_certify import (
@@ -27,9 +28,15 @@ from test_certify import (
     forged_polynomial_text,
     hankel_past_cap_text,
     HOLE_FORGERIES,
+    LONG_VALUE_FORGERIES,
     NON_CANONICAL_FORMS,
     NUMBER_TYPE_FORGERIES,
 )
+
+
+# What Fraction() or int() read beyond "p" and "p/q" in ASCII digits (all
+# but "1 /3" and "1/0", which neither reads, and "1e5" and "0.5" for int()).
+OFF_SYNTAX = ("1e5", "0.5", "+1", "1_0", "\u0661\u0662", "1 /3", "1/0")
 
 
 def run(capsys, *argv):
@@ -50,6 +57,45 @@ class TestParsing:
         )
         with pytest.raises(ValueError):
             parse_rational_list("1,x")
+
+    def test_documents_syntax_read(self):
+        assert parse_rational_list("7,-7,-7/3, 7/3 ") == (7, -7, Fraction(-7, 3), Fraction(7, 3))
+        records = parse_bfile("1 7\n 2  -7 \n")
+        assert [(r.index, r.value) for r in records] == [(1, 7), (2, -7)]
+
+    @pytest.mark.parametrize("text", OFF_SYNTAX)
+    def test_other_syntaxes_refused(self, text):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational_list(f"1,{text}")
+        with pytest.raises(BFileError, match="line 2"):
+            parse_bfile(f"1 1\n2 {text}\n")
+
+    def test_one_syntax_definition(self):
+        # certify reads documents, and cli the command line and b-files, through these
+        assert certify_module.INTEGER_TEXT is cli.INTEGER_TEXT is schema.INTEGER_TEXT
+        assert certify_module.RATIONAL_TEXT is cli.RATIONAL_TEXT is schema.RATIONAL_TEXT
+
+    def test_number_past_the_digit_limit_is_a_cap(self):
+        # both were refused as malformed, with all 5,000 digits in the message
+        digits = "7" * 5000
+        with pytest.raises(ResourceLimitError, match=r"^number '777.* has more than") as info:
+            parse_rational_list(f"1,{digits}")
+        assert "sys.get_int_max_str_digits()" in str(info.value)
+        assert len(str(info.value)) < 200
+        with pytest.raises(ResourceLimitError, match=r"^line 2: a field has more than") as info:
+            parse_bfile(f"1 1\n2 {digits}\n")
+        assert len(str(info.value)) < 200
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x" * 5000, "1 " + "x" * 5000, "1 2 " + "3" * 5000, "1 1\n" + "3" * 4000 + " 2"],
+        ids=["word", "value", "line", "index"],
+    )
+    def test_refusal_shows_at_most_60_characters(self, text):
+        for parse in (parse_rational_list, parse_bfile):
+            with pytest.raises((ValueError, BFileError)) as info:
+                parse(text)
+            assert len(str(info.value)) < 150
 
 
 class TestBFile:
@@ -220,6 +266,12 @@ class TestGuessCommand:
             {"order": 4, "offset": 1, "determinant": "18457/72"},
         ]
 
+    def test_decimal_terms_refused(self, capsys):
+        # Fraction() read 0.5 as 1/2: this found the ratio 1/2 with exit 0
+        code, out, err = run(capsys, "guess", "--terms", "0.5,0.25,0.125")
+        assert (code, out) == (2, "")
+        assert "not a rational number: '0.5'" in err
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "guess", "--max-order", "3")
         assert code == 2
@@ -382,6 +434,23 @@ class TestRefuteCommand:
         assert "certificate field polynomial.polynomial holds an integer of more than" in err
         assert calls == dict.fromkeys(CHECKS, 0)
 
+    def test_exponent_refused_before_it_is_built(self, capsys):
+        # Fraction("1e10000000") built 10**(10**7) for 8.4 s, then the digit limit exited 2
+        start = time.perf_counter()
+        code, out, err = run(capsys, "refute", "--", "1e10000000")
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert "not a rational number: '1e10000000'" in err
+
+    def test_number_past_the_digit_limit(self, capsys):
+        # "not a rational number: '777..." with every digit: 5,176 bytes
+        code, out, err = run(capsys, "refute", "--", "7" * 5000)
+        assert (code, out) == (2, "")
+        assert "sys.get_int_max_str_digits()" in err and len(err) < 300
+        code, out, _ = run(capsys, "refute", "--json", "--", "7" * 5000)
+        assert code == 2 and len(out) < 400
+        assert json.loads(out)["status"] == "error"
+
     def test_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "refute", "4", "--json")
         _, out2, _ = run(capsys, "refute", "4", "--json")
@@ -510,6 +579,15 @@ class TestValidateCommand:
         assert code == 1
         doc = json.loads(out)
         assert doc["status"] == "invalid" and "'utf-8' codec" in doc["payload"]["reason"]
+
+    @pytest.mark.parametrize("name", sorted(LONG_VALUE_FORGERIES))
+    def test_long_value_refusal_is_short(self, capsys, tmp_path, name):
+        path = tmp_path / "cert.json"
+        path.write_text(LONG_VALUE_FORGERIES[name][0]())
+        code, out, _ = run(capsys, "validate", "--input", str(path), "--json")
+        assert code == 1
+        assert len(out) < 1024
+        assert json.loads(out)["status"] == "invalid"
 
     def test_long_number_literal_refusal_is_short(self, capsys, tmp_path):
         # the reason once held the whole literal: 200,167 bytes of output
